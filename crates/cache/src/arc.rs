@@ -21,10 +21,10 @@
 //! transition — hit promotion, eviction-to-ghost, ghost resurrection —
 //! relinks one node without allocating.
 
-use std::hash::Hash;
+use crate::intrusive::{MultiList, SlabKey};
+use crate::page::PageState;
 
-use crate::intrusive::MultiList;
-
+// List indices; the ghost lists trail the resident ones.
 const T1: usize = 0;
 const T2: usize = 1;
 const B1: usize = 2;
@@ -32,81 +32,64 @@ const B2: usize = 3;
 
 /// An ARC residency set over keys of type `K`.
 #[derive(Debug, Clone)]
-pub struct ArcSet<K: Eq + Hash + Clone> {
-    lists: MultiList<K, 4>,
+pub struct ArcSet<K: SlabKey> {
+    pub(crate) lists: MultiList<K, 4>,
     /// Adaptive target size of `T1`, in `0..=capacity`.
     p: usize,
     /// The page budget the ghost bounds are derived from (≥ 1).
     capacity: usize,
 }
 
-impl<K: Eq + Hash + Clone> ArcSet<K> {
+impl<K: SlabKey> ArcSet<K> {
     /// Creates an ARC set for a cache of `capacity` pages, pre-sized so
     /// resident plus ghost keys (≤ 2 × capacity, bounded by
     /// [`crate::PREALLOC_PAGES_MAX`]) never reallocate.
     pub fn with_capacity(capacity: usize) -> Self {
         let prealloc = capacity.min(crate::PREALLOC_PAGES_MAX / 2);
         Self {
-            lists: MultiList::with_capacity(prealloc.saturating_mul(2)),
+            lists: MultiList::with_ghost_lists(prealloc.saturating_mul(2), 2),
             p: 0,
             capacity: capacity.max(1),
         }
     }
 
-    /// Number of resident keys (`T1` + `T2`; ghosts do not count).
-    pub fn len(&self) -> usize {
-        self.lists.list_len(T1) + self.lists.list_len(T2)
-    }
-
-    /// Whether no keys are resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether `key` is resident (ghost entries do not count).
-    pub fn contains(&self, key: &K) -> bool {
-        matches!(self.lists.which_list(key), Some(T1) | Some(T2))
-    }
-
-    /// Records a reference to `key`. Returns `true` if the key was not
-    /// resident before (the caller must fetch the page). A ghost hit
-    /// counts as a miss but adapts `p` and resurrects straight into
-    /// `T2`.
-    pub fn touch(&mut self, key: K) -> bool {
-        match self.lists.slot_of(&key) {
-            Some(slot) => match self.lists.list_at(slot) {
-                T1 | T2 => {
-                    self.lists.promote(slot, T2);
-                    false
-                }
-                B1 => {
-                    // Recency ghosts hit: grow T1's share.
-                    let delta = (self.lists.list_len(B2) / self.lists.list_len(B1).max(1)).max(1);
-                    self.p = (self.p + delta).min(self.capacity);
-                    self.lists.promote(slot, T2);
-                    true
-                }
-                _ => {
-                    // Frequency ghost hit: shrink T1's share.
-                    let delta = (self.lists.list_len(B1) / self.lists.list_len(B2).max(1)).max(1);
-                    self.p = self.p.saturating_sub(delta);
-                    self.lists.promote(slot, T2);
-                    true
-                }
-            },
-            None => {
-                self.lists.push_front_new(T1, key);
-                self.trim_ghosts();
-                true
-            }
+    /// A resident hit moves the key to the front of `T2`.
+    pub(crate) fn lookup(&mut self, key: &K, promote: bool) -> Option<&mut PageState> {
+        let slot = self.lists.resident_slot(key)?;
+        if promote {
+            self.lists.promote(slot, T2);
         }
+        Some(self.lists.state_at_mut(slot))
     }
 
-    /// Evicts and returns a victim per ARC's REPLACE rule: `T1`'s LRU
-    /// key when `T1` exceeds its adaptive target `p` (or `T2` is
-    /// empty), `T2`'s otherwise. The victim leaves a ghost behind in
-    /// `B1`/`B2` respectively.
-    pub fn pop_victim(&mut self) -> Option<K> {
+    /// A new key enters `T1`. A ghost hit is a miss that adapts `p` and
+    /// resurrects the key straight into `T2`.
+    pub(crate) fn insert(&mut self, key: K, state: PageState) {
+        let slot = match self.lists.find_or_push(T1, key, state) {
+            Ok(_) => {
+                self.trim_ghosts();
+                return;
+            }
+            Err(slot) => slot,
+        };
+        let (b1, b2) = (self.lists.list_len(B1), self.lists.list_len(B2));
+        if self.lists.list_at(slot) == B1 {
+            // Recency ghosts hit: grow T1's share.
+            self.p = (self.p + (b2 / b1.max(1)).max(1)).min(self.capacity);
+        } else {
+            debug_assert_eq!(self.lists.list_at(slot), B2, "insert of a resident key");
+            // Frequency ghost hit: shrink T1's share.
+            self.p = self.p.saturating_sub((b1 / b2.max(1)).max(1));
+        }
+        self.lists.promote(slot, T2);
+        *self.lists.state_at_mut(slot) = state;
+    }
+
+    /// Evicts a victim per ARC's REPLACE rule: `T1`'s LRU key when `T1`
+    /// exceeds its adaptive target `p` (or `T2` is empty), `T2`'s
+    /// otherwise. The victim leaves a ghost behind in `B1`/`B2`
+    /// respectively.
+    pub(crate) fn pop_victim_entry(&mut self) -> Option<(K, PageState)> {
         let t1 = self.lists.list_len(T1);
         let t2 = self.lists.list_len(T2);
         let victim = if t1 > 0 && (t1 > self.p || t2 == 0) {
@@ -121,9 +104,9 @@ impl<K: Eq + Hash + Clone> ArcSet<K> {
     }
 
     /// Removes a specific key from whichever list holds it (leaving no
-    /// ghost); returns whether a *resident* entry was removed.
-    pub fn remove(&mut self, key: &K) -> bool {
-        matches!(self.lists.remove(key), Some(T1) | Some(T2))
+    /// ghost), returning the state of a *resident* entry.
+    pub(crate) fn remove_entry(&mut self, key: &K) -> Option<PageState> {
+        self.lists.remove(key).and_then(|(list, state)| (list <= T2).then_some(state))
     }
 
     /// Number of keys in the frequency list `T2` (diagnostics/tests).
@@ -160,6 +143,7 @@ impl<K: Eq + Hash + Clone> ArcSet<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PolicySet;
 
     /// Touch-and-evict helper mimicking the cache's driving loop.
     fn fill(a: &mut ArcSet<u64>, keys: impl IntoIterator<Item = u64>, capacity: usize) {

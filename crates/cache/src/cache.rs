@@ -1,6 +1,7 @@
 //! The buffer cache.
 //!
-//! A page-granular cache with LRU replacement and sequential readahead,
+//! A page-granular cache with a selectable replacement policy
+//! ([`ReplacementPolicy`], LRU by default) and sequential readahead,
 //! plus a *cost model* that converts cache events into simulated
 //! latencies. The defaults are calibrated so replayed traces reproduce
 //! the paper's observations:
@@ -17,13 +18,17 @@
 //! - readahead staged by one operation is charged to that operation
 //!   ("I/O operations in light of prefetching experience relatively
 //!   high execution times").
-
-use std::collections::HashMap;
+//!
+//! The policy's slab is the page table: each resident page's
+//! [`PageState`] lives in its policy node, so a resident hit costs one
+//! hash probe ([`PolicySet::lookup`]) and a miss that evicts costs
+//! three. Closing a file gathers only that file's pages through the
+//! slab's per-file chain.
 
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::CacheMetrics;
-use crate::page::{page_span, FileId, PageId};
+use crate::page::{page_span, FileId, PageId, PageState};
 use crate::policy::{PolicySet, ReplacementPolicy, WritePolicy};
 use crate::prefetch::{PrefetchConfig, Prefetcher};
 
@@ -132,12 +137,6 @@ impl Default for CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct PageState {
-    dirty: bool,
-    prefetched: bool,
-}
-
 /// State threaded through a sequence of [`BufferCache::page_access`]
 /// calls belonging to one operation (the sharding SPI).
 ///
@@ -196,12 +195,13 @@ impl AccessOutcome {
     }
 }
 
-/// A page-granular buffer cache with LRU replacement and readahead.
+/// A page-granular buffer cache with a selectable replacement policy
+/// and readahead.
 #[derive(Debug, Clone)]
 pub struct BufferCache {
     cfg: CacheConfig,
+    /// The page table: residency, replacement order and page state.
     resident: Box<dyn PolicySet<PageId>>,
-    pages: HashMap<PageId, PageState>,
     prefetcher: Prefetcher,
     metrics: CacheMetrics,
     files: Vec<String>,
@@ -215,15 +215,7 @@ impl BufferCache {
         // The single registry point: the configured policy builds its
         // own residency set, sized so the replay hot loop never regrows.
         let resident = cfg.policy.build(cfg.capacity_pages);
-        let pages = HashMap::with_capacity(cfg.capacity_pages.min(crate::PREALLOC_PAGES_MAX));
-        Self {
-            cfg,
-            resident,
-            pages,
-            prefetcher,
-            metrics: CacheMetrics::default(),
-            files: Vec::new(),
-        }
+        Self { cfg, resident, prefetcher, metrics: CacheMetrics::default(), files: Vec::new() }
     }
 
     /// Registers a file name, returning its id. The cache itself never
@@ -260,8 +252,7 @@ impl BufferCache {
 
     fn evict_for_room(&mut self, out: &mut AccessOutcome) {
         while self.resident.len() >= self.cfg.capacity_pages.max(1) {
-            let Some(victim) = self.resident.pop_victim() else { break };
-            let state = self.pages.remove(&victim).unwrap_or_default();
+            let Some((_, state)) = self.resident.pop_victim_entry() else { break };
             out.evictions += 1;
             self.metrics.evictions += 1;
             if state.dirty {
@@ -272,13 +263,12 @@ impl BufferCache {
         }
     }
 
-    fn insert_page(&mut self, id: PageId, prefetched: bool, dirty: bool, out: &mut AccessOutcome) {
+    fn insert_page(&mut self, id: PageId, state: PageState, out: &mut AccessOutcome) {
         if self.cfg.capacity_pages == 0 {
             return; // caching disabled: nothing is retained
         }
         self.evict_for_room(out);
-        self.resident.touch(id);
-        self.pages.insert(id, PageState { dirty, prefetched });
+        self.resident.insert(id, state);
     }
 
     /// Performs a read or write of `len` bytes at `offset`, returning
@@ -370,9 +360,9 @@ impl BufferCache {
         cursor: &mut RunCursor,
         out: &mut AccessOutcome,
     ) {
-        // `pages` and `resident` always track the same key set, so
-        // this single probe doubles as the residency check.
-        if let Some(state) = self.pages.get_mut(&id) {
+        // The single probe of a hit: residency, state and (with
+        // `per_page_touch`) promotion at once.
+        if let Some(state) = self.resident.lookup(&id, per_page_touch) {
             if state.prefetched {
                 state.prefetched = false;
                 self.metrics.prefetch_hits += 1;
@@ -387,9 +377,7 @@ impl BufferCache {
                     }
                 }
             }
-            if per_page_touch {
-                self.resident.touch(id);
-            } else {
+            if !per_page_touch {
                 cursor.run_mru = Some(id);
             }
             out.pages_hit += 1;
@@ -411,7 +399,7 @@ impl BufferCache {
                 self.metrics.writebacks += 1;
                 out.cost_ms += self.cfg.costs.writeback_per_page;
             }
-            self.insert_page(id, false, dirty, out);
+            self.insert_page(id, PageState { dirty, prefetched: false }, out);
         }
     }
 
@@ -421,10 +409,8 @@ impl BufferCache {
     pub fn finish_run(&mut self, cursor: RunCursor) {
         if let Some(id) = cursor.run_mru {
             // A later fault in the same span can have evicted the page;
-            // only promote what is still resident.
-            if self.pages.contains_key(&id) {
-                self.resident.touch(id);
-            }
+            // the lookup promotes only what is still resident.
+            self.resident.lookup(&id, true);
         }
     }
 
@@ -432,42 +418,42 @@ impl BufferCache {
     /// charging its transfer to `out`. No-op (returning `false`) when
     /// the page is already resident or caching is disabled.
     pub fn stage_prefetch(&mut self, id: PageId, out: &mut AccessOutcome) -> bool {
-        if self.cfg.capacity_pages == 0 || self.pages.contains_key(&id) {
+        if self.cfg.capacity_pages == 0 || self.resident.contains(&id) {
             return false;
         }
         out.pages_prefetched += 1;
         self.metrics.prefetched += 1;
         out.cost_ms += self.cfg.costs.prefetch_per_page;
-        self.insert_page(id, true, false, out);
+        self.insert_page(id, PageState { dirty: false, prefetched: true }, out);
         true
     }
 
     /// Stages a page at open time without charging fault or prefetch
     /// cost (the platform overlaps the header read with the open).
     pub fn stage_open_page(&mut self, id: PageId, out: &mut AccessOutcome) -> bool {
-        if self.cfg.capacity_pages == 0 || self.pages.contains_key(&id) {
+        if self.cfg.capacity_pages == 0 || self.resident.contains(&id) {
             return false;
         }
         out.pages_prefetched += 1;
         self.metrics.prefetched += 1;
-        self.insert_page(id, true, false, out);
+        self.insert_page(id, PageState { dirty: false, prefetched: true }, out);
         true
     }
 
     /// Evicts every resident page of `file`, writing dirty ones back
     /// into `out` — the page-side effect of [`BufferCache::close`],
     /// without the fixed close cost or the readahead-state reset.
+    ///
+    /// Only the file's own pages are visited (the slab's per-file
+    /// chain). They are evicted in page order: some policies (CLOCK's
+    /// slot reuse, 2Q's queue surgery) are sensitive to removal order,
+    /// and the chain order depends on the history of the slab.
     pub fn evict_file_pages(&mut self, file: FileId, out: &mut AccessOutcome) {
-        let mut victims: Vec<PageId> =
-            self.pages.keys().filter(|p| p.file == file).copied().collect();
-        // HashMap iteration order is per-instance random, and some
-        // policies (CLOCK's slot reuse, 2Q's queue surgery) are
-        // sensitive to removal order — evict in page order so two
-        // caches fed identical streams stay identical.
+        let mut victims = Vec::new();
+        self.resident.group_keys(file.0 as usize, &mut victims);
         victims.sort_unstable();
         for id in victims {
-            let state = self.pages.remove(&id).unwrap_or_default();
-            self.resident.remove(&id);
+            let Some(state) = self.resident.remove_entry(&id) else { continue };
             out.evictions += 1;
             self.metrics.evictions += 1;
             if state.dirty {
@@ -479,16 +465,18 @@ impl BufferCache {
     }
 
     /// Writes every dirty page back without evicting, accumulating into
-    /// `out` — the page-side effect of [`BufferCache::flush`].
+    /// `out` — the page-side effect of [`BufferCache::flush`]. Walks
+    /// the policy's slab.
     pub fn flush_pages(&mut self, out: &mut AccessOutcome) {
-        for state in self.pages.values_mut() {
+        let (metrics, writeback) = (&mut self.metrics, self.cfg.costs.writeback_per_page);
+        self.resident.for_each_state(&mut |state| {
             if state.dirty {
                 state.dirty = false;
                 out.writebacks += 1;
-                self.metrics.writebacks += 1;
-                out.cost_ms += self.cfg.costs.writeback_per_page;
+                metrics.writebacks += 1;
+                out.cost_ms += writeback;
             }
-        }
+        });
     }
 
     /// Opens `file`: fixed metadata cost; stages the header page like

@@ -7,10 +7,12 @@
 //! page fault, warm accesses are served from the buffers. This crate
 //! makes those mechanisms explicit and deterministic:
 //!
-//! - [`page`] — page identity and offset↔page arithmetic,
-//! - [`intrusive`] — the slab-backed intrusive multi-list every list
-//!   policy threads its segments through (O(1) relink, zero per-access
-//!   allocation once warm),
+//! - [`page`] — page identity, page state and offset↔page arithmetic,
+//! - [`hash`] — the keyed fast hasher behind every page-keyed table,
+//! - [`intrusive`] — the slab-backed intrusive multi-list every policy
+//!   threads its segments through; with the page state in its nodes it
+//!   is the cache's single-probe page table (O(1) relink, zero
+//!   per-access allocation once warm),
 //! - [`lru`] — an O(1) LRU list,
 //! - [`policy`] — the [`PolicySet`] trait all seven replacement
 //!   policies implement, and the selector enum whose `build` method is
@@ -40,10 +42,12 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod arc;
 pub mod backend;
 pub mod cache;
+pub mod hash;
 pub mod intrusive;
 pub mod lru;
 pub mod metrics;

@@ -7,23 +7,22 @@
 //! O(n²). A warm list also never allocates: hits relink the node in
 //! place and evictions recycle slots through the slab's free list.
 
-use std::hash::Hash;
-
-use crate::intrusive::MultiList;
+use crate::intrusive::{MultiList, SlabKey};
+use crate::page::PageState;
 
 /// An LRU ordering over keys of type `K`.
 ///
-/// The list orders keys from most- to least-recently used; values live
-/// with the caller (the cache stores page state separately).
+/// The list orders keys from most- to least-recently used; each node
+/// also holds its key's [`PageState`].
 #[derive(Debug, Clone, Default)]
-pub struct LruList<K: Eq + Hash + Clone> {
-    inner: MultiList<K, 1>,
+pub struct LruList<K: SlabKey> {
+    pub(crate) lists: MultiList<K, 1>,
 }
 
-impl<K: Eq + Hash + Clone> LruList<K> {
+impl<K: SlabKey> LruList<K> {
     /// Creates an empty list.
     pub fn new() -> Self {
-        Self { inner: MultiList::new() }
+        Self { lists: MultiList::new() }
     }
 
     /// Creates an empty list pre-sized for `capacity` keys (bounded by
@@ -31,64 +30,49 @@ impl<K: Eq + Hash + Clone> LruList<K> {
     /// configured size never rehashes or regrows in the replay hot
     /// loop.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self { inner: MultiList::with_capacity(capacity.min(crate::PREALLOC_PAGES_MAX)) }
+        Self { lists: MultiList::with_capacity(capacity.min(crate::PREALLOC_PAGES_MAX)) }
     }
 
-    /// Number of tracked keys.
-    pub fn len(&self) -> usize {
-        self.inner.total_len()
-    }
-
-    /// Whether no keys are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Whether `key` is tracked.
-    pub fn contains(&self, key: &K) -> bool {
-        self.inner.contains(key)
-    }
-
-    /// Inserts `key` as most-recently used, or moves it to the front if
-    /// already present. Returns `true` if the key was newly inserted.
-    pub fn touch(&mut self, key: K) -> bool {
-        match self.inner.slot_of(&key) {
-            Some(slot) => {
-                self.inner.promote(slot, 0);
-                false
-            }
-            None => {
-                self.inner.push_front_new(0, key);
-                true
-            }
+    /// The state of `key`, moved to the front first when `promote`.
+    pub(crate) fn lookup(&mut self, key: &K, promote: bool) -> Option<&mut PageState> {
+        let slot = self.lists.slot_of(key)?;
+        if promote {
+            self.lists.promote(slot, 0);
         }
+        Some(self.lists.state_at_mut(slot))
     }
 
-    /// Removes and returns the least-recently used key.
-    pub fn pop_oldest(&mut self) -> Option<K> {
-        self.inner.pop_back(0)
+    /// Inserts an untracked `key` as most-recently used.
+    pub(crate) fn insert(&mut self, key: K, state: PageState) {
+        self.lists.push_front_new(0, key, state);
     }
 
-    /// Removes a specific key; returns whether it was present.
-    pub fn remove(&mut self, key: &K) -> bool {
-        self.inner.remove(key).is_some()
+    /// Removes and returns the least-recently used entry.
+    pub(crate) fn pop_victim_entry(&mut self) -> Option<(K, PageState)> {
+        self.lists.pop_back(0)
+    }
+
+    /// Removes a specific key, returning its state.
+    pub(crate) fn remove_entry(&mut self, key: &K) -> Option<PageState> {
+        self.lists.remove(key).map(|(_, state)| state)
     }
 
     /// The least-recently used key, without removing it.
     pub fn peek_oldest(&self) -> Option<&K> {
-        self.inner.peek_back(0)
+        self.lists.peek_back(0)
     }
 
     /// Keys from most- to least-recently used (test/diagnostic helper;
     /// O(n)).
     pub fn iter_mru(&self) -> impl Iterator<Item = &K> {
-        self.inner.iter(0)
+        self.lists.iter(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PolicySet;
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
@@ -109,13 +93,13 @@ mod tests {
         for i in 0..5 {
             l.touch(i);
         }
-        assert_eq!(l.pop_oldest(), Some(0));
-        assert_eq!(l.pop_oldest(), Some(1));
+        assert_eq!(l.pop_victim(), Some(0));
+        assert_eq!(l.pop_victim(), Some(1));
         l.touch(2); // promote 2
-        assert_eq!(l.pop_oldest(), Some(3));
-        assert_eq!(l.pop_oldest(), Some(4));
-        assert_eq!(l.pop_oldest(), Some(2));
-        assert_eq!(l.pop_oldest(), None);
+        assert_eq!(l.pop_victim(), Some(3));
+        assert_eq!(l.pop_victim(), Some(4));
+        assert_eq!(l.pop_victim(), Some(2));
+        assert_eq!(l.pop_victim(), None);
         assert!(l.is_empty());
     }
 
@@ -149,8 +133,8 @@ mod tests {
         l.touch(42);
         assert_eq!(l.peek_oldest(), Some(&42));
         l.touch(42); // self-promotion must not corrupt links
-        assert_eq!(l.pop_oldest(), Some(42));
-        assert_eq!(l.pop_oldest(), None);
+        assert_eq!(l.pop_victim(), Some(42));
+        assert_eq!(l.pop_victim(), None);
     }
 
     proptest! {
@@ -166,7 +150,7 @@ mod tests {
                         model.push_front(key);
                     }
                     1 => {
-                        let a = lru.pop_oldest();
+                        let a = lru.pop_victim();
                         let b = model.pop_back();
                         prop_assert_eq!(a, b);
                     }

@@ -19,6 +19,16 @@ pub struct PageId {
     pub index: u64,
 }
 
+/// What the cache knows about one resident page, stored in the
+/// policy's slab node next to the page's links.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PageState {
+    /// Written since it was last fetched or written back.
+    pub dirty: bool,
+    /// Staged by readahead and not yet demanded.
+    pub prefetched: bool,
+}
+
 impl PageId {
     /// The page covering byte `offset` of `file`.
     pub fn containing(file: FileId, offset: u64, page_size: u64) -> Self {

@@ -5,8 +5,9 @@
 //! and defines the one interface they all answer to:
 //!
 //! - [`PolicySet`] — the object-safe residency-set trait every policy
-//!   implements (`touch` / `insert` / `pop_victim` / `remove` /
-//!   `contains` / `len`, plus the crate-wide `with_capacity`
+//!   implements (`lookup` / `insert` / `pop_victim_entry` /
+//!   `remove_entry` plus residency queries, the key-set view `touch` /
+//!   `pop_victim` / `remove`, and the crate-wide `with_capacity`
 //!   constructor convention),
 //! - [`ReplacementPolicy`] — the serializable policy selector whose
 //!   [`ReplacementPolicy::build`] method is the **single registry
@@ -21,27 +22,34 @@
 //! [`crate::lru::LruList`], [`crate::scanres::TwoQSet`],
 //! [`crate::scanres::SlruSet`], [`crate::sieve::SieveSet`] and
 //! [`crate::arc::ArcSet`].
+//!
+//! Every policy keeps its residents in one [`MultiList`] slab whose
+//! nodes also carry each page's [`PageState`], so the policy set *is*
+//! the cache's page table: [`PolicySet::lookup`] answers residency,
+//! state and promotion with one hash probe.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
 
 use serde::{Deserialize, Serialize};
 
 use crate::arc::ArcSet;
-use crate::intrusive::MultiList;
+use crate::intrusive::{MultiList, SlabKey};
 use crate::lru::LruList;
+use crate::page::PageState;
 use crate::scanres::{SlruSet, TwoQSet};
 use crate::sieve::SieveSet;
 
 /// The residency-set interface every replacement policy implements.
 ///
-/// A policy set tracks *which* keys are resident and decides *what* to
-/// evict; the owning cache decides *when* (by calling
-/// [`PolicySet::pop_victim`] until it is under budget). That split
-/// keeps a shard's eviction stream a pure function of its own access
-/// subsequence — the property `tests/cache_properties.rs` pins for
-/// every policy.
+/// A policy set tracks *which* keys are resident, holds each resident
+/// key's [`PageState`], and decides *what* to evict; the owning cache
+/// decides *when* (by calling [`PolicySet::pop_victim_entry`] until it
+/// is under budget). That split keeps a shard's eviction stream a pure
+/// function of its own access subsequence — the property
+/// `tests/cache_properties.rs` pins for every policy.
+///
+/// Ghost entries (ARC's `B1`/`B2`, 2Q's `A1out`) are remembered keys,
+/// not residents: every query here answers "not resident" for them.
 ///
 /// Implementations are selected at exactly one place,
 /// [`ReplacementPolicy::build`], and used as `Box<dyn PolicySet<K>>`.
@@ -64,29 +72,56 @@ pub trait PolicySet<K>: fmt::Debug + Send {
     /// Whether `key` is resident.
     fn contains(&self, key: &K) -> bool;
 
-    /// Records a reference to `key`, inserting it if absent. Returns
-    /// `true` if the key was not resident before (the caller must
-    /// fetch the page).
-    fn touch(&mut self, key: K) -> bool;
+    /// The state of resident `key`, after recording a reference to it
+    /// when `promote` is set — one hash probe. `None` (with no side
+    /// effect) when the key is not resident, ghosts included.
+    fn lookup(&mut self, key: &K, promote: bool) -> Option<&mut PageState>;
 
-    /// Inserts `key` without distinguishing it from a touch (policies
-    /// that treat first-insert specially already do so inside
-    /// [`PolicySet::touch`]).
-    fn insert(&mut self, key: K) -> bool {
-        self.touch(key)
-    }
+    /// Makes a non-resident `key` resident with `state`. A ghost key
+    /// is resurrected by the policy's own rules. The caller must make
+    /// room first; inserting a resident key is a bug.
+    fn insert(&mut self, key: K, state: PageState);
 
-    /// Evicts and returns the policy's chosen victim, or `None` when
-    /// nothing is resident.
-    fn pop_victim(&mut self) -> Option<K>;
+    /// Evicts the policy's chosen victim, returning its key and state,
+    /// or `None` when nothing is resident.
+    fn pop_victim_entry(&mut self) -> Option<(K, PageState)>;
 
-    /// Removes a specific key (used when a file closes and its pages
-    /// are purged); returns whether a *resident* entry was removed.
-    fn remove(&mut self, key: &K) -> bool;
+    /// Removes `key`, resident or ghost (used when a file closes and
+    /// its pages are purged); returns the state of a *resident* entry.
+    fn remove_entry(&mut self, key: &K) -> Option<PageState>;
+
+    /// Appends the resident keys of `group` ([`SlabKey::group`]) to
+    /// `out`, in no particular order, visiting only that group.
+    fn group_keys(&self, group: usize, out: &mut Vec<K>);
+
+    /// Calls `f` on the state of every resident key.
+    fn for_each_state(&mut self, f: &mut dyn FnMut(&mut PageState));
 
     /// Clones the set behind the object; lets `Box<dyn PolicySet<K>>`
     /// implement `Clone` so caches stay cheaply copyable in tests.
     fn boxed_clone(&self) -> Box<dyn PolicySet<K>>;
+
+    /// Key-set view: records a reference to `key`, inserting it with a
+    /// default state if it is not resident. Returns `true` if the key
+    /// was not resident before (the caller must fetch the page).
+    fn touch(&mut self, key: K) -> bool {
+        if self.lookup(&key, true).is_some() {
+            return false;
+        }
+        self.insert(key, PageState::default());
+        true
+    }
+
+    /// Key-set view of [`PolicySet::pop_victim_entry`].
+    fn pop_victim(&mut self) -> Option<K> {
+        self.pop_victim_entry().map(|(key, _)| key)
+    }
+
+    /// Key-set view of [`PolicySet::remove_entry`]: whether a
+    /// *resident* entry was removed.
+    fn remove(&mut self, key: &K) -> bool {
+        self.remove_entry(key).is_some()
+    }
 }
 
 impl<K> Clone for Box<dyn PolicySet<K>> {
@@ -162,7 +197,7 @@ impl ReplacementPolicy {
     /// one new match arm.
     pub fn build<K>(self, capacity: usize) -> Box<dyn PolicySet<K>>
     where
-        K: Eq + Hash + Clone + fmt::Debug + Send + 'static,
+        K: SlabKey + fmt::Debug + Send + 'static,
     {
         fn boxed<K, P: PolicySet<K> + 'static>(capacity: usize) -> Box<dyn PolicySet<K>> {
             Box::new(P::with_capacity(capacity))
@@ -191,116 +226,73 @@ pub enum WritePolicy {
     WriteThrough,
 }
 
-/// CLOCK (second chance): a circular buffer of entries with reference
-/// bits; the hand sweeps, clearing bits, and evicts the first clear one.
+/// CLOCK (second chance): entries with reference bits; the hand sweeps
+/// slab positions, clearing bits, and evicts the first clear one.
 ///
-/// CLOCK keeps its dedicated circular-buffer layout rather than the
-/// intrusive list core: its hand walks *positions*, not links, and the
-/// slot array is already allocation-free once warm.
+/// CLOCK shares the slab core with the list policies but walks slab
+/// *positions*, not links: a fresh or re-referenced entry gets its
+/// reference bit (the node flag) set, and freed slots are skipped. The
+/// slab's LIFO free list decides which position a new entry takes, so
+/// the removal order of a file close shapes later sweeps — which is
+/// why the cache purges a closed file in page order.
 #[derive(Debug, Clone)]
-pub struct ClockSet<K: Eq + Hash + Clone> {
-    entries: Vec<Option<(K, bool)>>,
-    index: HashMap<K, usize>,
-    free: Vec<usize>,
+pub struct ClockSet<K: SlabKey> {
+    lists: MultiList<K, 1>,
+    /// Next slab position the sweep examines.
     hand: usize,
 }
 
-impl<K: Eq + Hash + Clone> ClockSet<K> {
+impl<K: SlabKey> ClockSet<K> {
     /// Creates an empty set.
     pub fn new() -> Self {
-        Self { entries: Vec::new(), index: HashMap::new(), free: Vec::new(), hand: 0 }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty set pre-sized for `capacity` keys (bounded by
     /// [`crate::PREALLOC_PAGES_MAX`]).
     pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.min(crate::PREALLOC_PAGES_MAX);
-        Self {
-            entries: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity(capacity),
-            free: Vec::new(),
-            hand: 0,
+        Self { lists: MultiList::with_capacity(capacity.min(crate::PREALLOC_PAGES_MAX)), hand: 0 }
+    }
+
+    fn lookup(&mut self, key: &K, promote: bool) -> Option<&mut PageState> {
+        let slot = self.lists.slot_of(key)?;
+        if promote {
+            self.lists.set_flag_at(slot, true);
         }
+        Some(self.lists.state_at_mut(slot))
     }
 
-    /// Number of resident keys.
-    pub fn len(&self) -> usize {
-        self.index.len()
+    fn insert(&mut self, key: K, state: PageState) {
+        let slot = self.lists.push_front_new(0, key, state);
+        self.lists.set_flag_at(slot, true);
     }
 
-    /// Whether no keys are resident.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Whether `key` is resident.
-    pub fn contains(&self, key: &K) -> bool {
-        self.index.contains_key(key)
-    }
-
-    /// Marks `key` referenced, inserting it if absent. Returns `true`
-    /// if newly inserted.
-    pub fn touch(&mut self, key: K) -> bool {
-        if let Some(&slot) = self.index.get(&key) {
-            if let Some(e) = self.entries[slot].as_mut() {
-                e.1 = true;
-            }
-            false
-        } else {
-            let slot = match self.free.pop() {
-                Some(s) => {
-                    self.entries[s] = Some((key.clone(), true));
-                    s
-                }
-                None => {
-                    self.entries.push(Some((key.clone(), true)));
-                    self.entries.len() - 1
-                }
-            };
-            self.index.insert(key, slot);
-            true
-        }
-    }
-
-    /// Evicts and returns a victim chosen by the clock sweep.
-    pub fn pop_victim(&mut self) -> Option<K> {
-        if self.index.is_empty() {
+    fn pop_victim_entry(&mut self) -> Option<(K, PageState)> {
+        if self.lists.is_empty() {
             return None;
         }
         loop {
-            if self.entries.is_empty() {
-                return None;
-            }
-            self.hand %= self.entries.len();
+            let positions = self.lists.slab_len();
+            self.hand %= positions;
             let slot = self.hand;
-            self.hand = (self.hand + 1) % self.entries.len();
-            match self.entries[slot].as_mut() {
-                None => continue,
-                Some((_, referenced)) if *referenced => *referenced = false,
-                Some(_) => {
-                    let (key, _) = self.entries[slot].take().expect("checked Some");
-                    self.index.remove(&key);
-                    self.free.push(slot);
-                    return Some(key);
-                }
+            self.hand = (self.hand + 1) % positions;
+            if !self.lists.is_live(slot) {
+                continue;
+            }
+            if self.lists.flag_at(slot) {
+                self.lists.set_flag_at(slot, false);
+            } else {
+                return Some(self.lists.remove_slot(slot));
             }
         }
     }
 
-    /// Removes a specific key; returns whether it was present.
-    pub fn remove(&mut self, key: &K) -> bool {
-        match self.index.remove(key) {
-            None => false,
-            Some(slot) => {
-                self.entries[slot] = None;
-                self.free.push(slot);
-                true
-            }
-        }
+    fn remove_entry(&mut self, key: &K) -> Option<PageState> {
+        self.lists.remove(key).map(|(_, state)| state)
     }
 }
 
-impl<K: Eq + Hash + Clone> Default for ClockSet<K> {
+impl<K: SlabKey> Default for ClockSet<K> {
     fn default() -> Self {
         Self::new()
     }
@@ -309,109 +301,95 @@ impl<K: Eq + Hash + Clone> Default for ClockSet<K> {
 /// FIFO: eviction in insertion order, re-touching never promotes.
 ///
 /// A single intrusive list where hits do nothing: the front is the
-/// newest insert, the back the next victim. Rebasing on
-/// [`crate::intrusive::MultiList`] (from the old `VecDeque` + lazy
-/// ghost map) makes `remove` eager — no stale queue entries to skip —
-/// and the warm set allocation-free.
+/// newest insert, the back the next victim.
 #[derive(Debug, Clone, Default)]
-pub struct FifoSet<K: Eq + Hash + Clone> {
-    inner: MultiList<K, 1>,
+pub struct FifoSet<K: SlabKey> {
+    lists: MultiList<K, 1>,
 }
 
-impl<K: Eq + Hash + Clone> FifoSet<K> {
+impl<K: SlabKey> FifoSet<K> {
     /// Creates an empty set.
     pub fn new() -> Self {
-        Self { inner: MultiList::new() }
+        Self { lists: MultiList::new() }
     }
 
     /// Creates an empty set pre-sized for `capacity` keys (bounded by
     /// [`crate::PREALLOC_PAGES_MAX`]).
     pub fn with_capacity(capacity: usize) -> Self {
-        Self { inner: MultiList::with_capacity(capacity.min(crate::PREALLOC_PAGES_MAX)) }
+        Self { lists: MultiList::with_capacity(capacity.min(crate::PREALLOC_PAGES_MAX)) }
     }
 
-    /// Number of resident keys.
-    pub fn len(&self) -> usize {
-        self.inner.total_len()
+    fn lookup(&mut self, key: &K, _promote: bool) -> Option<&mut PageState> {
+        let slot = self.lists.slot_of(key)?;
+        Some(self.lists.state_at_mut(slot))
     }
 
-    /// Whether no keys are resident.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+    fn insert(&mut self, key: K, state: PageState) {
+        self.lists.push_front_new(0, key, state);
     }
 
-    /// Whether `key` is resident.
-    pub fn contains(&self, key: &K) -> bool {
-        self.inner.contains(key)
+    fn pop_victim_entry(&mut self) -> Option<(K, PageState)> {
+        self.lists.pop_back(0)
     }
 
-    /// Inserts if absent (FIFO never reorders on re-touch). Returns
-    /// `true` if newly inserted.
-    pub fn touch(&mut self, key: K) -> bool {
-        if self.inner.contains(&key) {
-            return false;
-        }
-        self.inner.push_front_new(0, key);
-        true
-    }
-
-    /// Evicts the oldest resident key.
-    pub fn pop_victim(&mut self) -> Option<K> {
-        self.inner.pop_back(0)
-    }
-
-    /// Removes a specific key; returns whether it was present.
-    pub fn remove(&mut self, key: &K) -> bool {
-        self.inner.remove(key).is_some()
+    fn remove_entry(&mut self, key: &K) -> Option<PageState> {
+        self.lists.remove(key).map(|(_, state)| state)
     }
 }
 
-/// Implements [`PolicySet`] for a policy type by delegating each trait
-/// method to the inherent method of the same behaviour.
+/// Implements [`PolicySet`] for a policy type. The type supplies its
+/// own `lookup`, `insert`, `pop_victim_entry` and `remove_entry`
+/// transitions; the residency queries read its `lists` slab directly.
 macro_rules! impl_policy_set {
-    ($ty:ident, $pop:ident) => {
+    ($($ty:ident),*) => {$(
         impl<K> PolicySet<K> for $ty<K>
         where
-            K: Eq + Hash + Clone + fmt::Debug + Send + 'static,
+            K: SlabKey + fmt::Debug + Send + 'static,
         {
             fn with_capacity(capacity: usize) -> Self {
                 $ty::with_capacity(capacity)
             }
 
             fn len(&self) -> usize {
-                $ty::len(self)
+                self.lists.resident_len()
             }
 
             fn contains(&self, key: &K) -> bool {
-                $ty::contains(self, key)
+                self.lists.resident_slot(key).is_some()
             }
 
-            fn touch(&mut self, key: K) -> bool {
-                $ty::touch(self, key)
+            fn lookup(&mut self, key: &K, promote: bool) -> Option<&mut PageState> {
+                $ty::lookup(self, key, promote)
             }
 
-            fn pop_victim(&mut self) -> Option<K> {
-                $ty::$pop(self)
+            fn insert(&mut self, key: K, state: PageState) {
+                $ty::insert(self, key, state)
             }
 
-            fn remove(&mut self, key: &K) -> bool {
-                $ty::remove(self, key)
+            fn pop_victim_entry(&mut self) -> Option<(K, PageState)> {
+                $ty::pop_victim_entry(self)
+            }
+
+            fn remove_entry(&mut self, key: &K) -> Option<PageState> {
+                $ty::remove_entry(self, key)
+            }
+
+            fn group_keys(&self, group: usize, out: &mut Vec<K>) {
+                self.lists.resident_group_keys(group, out)
+            }
+
+            fn for_each_state(&mut self, f: &mut dyn FnMut(&mut PageState)) {
+                self.lists.for_each_resident_state(f)
             }
 
             fn boxed_clone(&self) -> Box<dyn PolicySet<K>> {
                 Box::new(self.clone())
             }
         }
-    };
+    )*};
 }
 
-impl_policy_set!(LruList, pop_oldest);
-impl_policy_set!(ClockSet, pop_victim);
-impl_policy_set!(FifoSet, pop_victim);
-impl_policy_set!(TwoQSet, pop_victim);
-impl_policy_set!(SlruSet, pop_victim);
-impl_policy_set!(SieveSet, pop_victim);
-impl_policy_set!(ArcSet, pop_victim);
+impl_policy_set!(LruList, ClockSet, FifoSet, TwoQSet, SlruSet, SieveSet, ArcSet);
 
 #[cfg(test)]
 mod tests {
@@ -517,8 +495,15 @@ mod tests {
             assert!(!set.touch(1), "{}: second touch hits", policy.name());
             assert!(set.contains(&1));
             assert_eq!(set.len(), 1);
-            assert!(set.insert(2), "{}: insert of a new key", policy.name());
-            assert!(set.remove(&2), "{}: remove a resident key", policy.name());
+            let dirty = PageState { dirty: true, prefetched: false };
+            set.insert(2, dirty);
+            assert_eq!(set.lookup(&2, false).copied(), Some(dirty), "{}: state", policy.name());
+            assert_eq!(
+                set.remove_entry(&2),
+                Some(dirty),
+                "{}: remove a resident key",
+                policy.name()
+            );
             assert_eq!(set.pop_victim(), Some(1), "{}: sole key is the victim", policy.name());
             assert_eq!(set.pop_victim(), None);
         }

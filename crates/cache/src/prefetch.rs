@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use crate::hash::KeyedState;
 use crate::page::FileId;
 
 /// Per-file sequential-run state.
@@ -42,13 +43,13 @@ impl Default for PrefetchConfig {
 #[derive(Debug, Clone)]
 pub struct Prefetcher {
     cfg: PrefetchConfig,
-    runs: HashMap<FileId, RunState>,
+    runs: HashMap<FileId, RunState, KeyedState>,
 }
 
 impl Prefetcher {
     /// Creates a detector with the given policy.
     pub fn new(cfg: PrefetchConfig) -> Self {
-        Self { cfg, runs: HashMap::new() }
+        Self { cfg, runs: HashMap::default() }
     }
 
     /// Reports an access to pages `[first, last]` of `file`; returns the

@@ -29,28 +29,27 @@
 //! balance their internal segments), so they take the page budget at
 //! construction.
 
-use std::hash::Hash;
+use crate::intrusive::{MultiList, SlabKey};
+use crate::page::PageState;
 
-use crate::intrusive::MultiList;
-
-// TwoQSet's segment indices.
+// TwoQSet's segment indices (the ghost queue is the trailing list).
 const A1IN: usize = 0;
 const AM: usize = 1;
 const A1OUT: usize = 2;
 
 /// Johnson & Shasha's 2Q, full version (A1in / A1out / Am).
 #[derive(Debug, Clone)]
-pub struct TwoQSet<K: Eq + Hash + Clone> {
+pub struct TwoQSet<K: SlabKey> {
     /// `A1in` (trial FIFO, resident), `Am` (protected LRU, resident)
     /// and `A1out` (ghost queue, keys only) over one slab.
-    lists: MultiList<K, 3>,
+    pub(crate) lists: MultiList<K, 3>,
     /// Target size of `A1in` (classic: ¼ of capacity).
     kin: usize,
     /// Bound on the ghost queue (classic: ½ of capacity).
     kout: usize,
 }
 
-impl<K: Eq + Hash + Clone> TwoQSet<K> {
+impl<K: SlabKey> TwoQSet<K> {
     /// Creates a 2Q set for a cache of `capacity` pages, using the
     /// paper's recommended splits `Kin = capacity/4`, `Kout =
     /// capacity/2` (each at least one page).
@@ -60,7 +59,7 @@ impl<K: Eq + Hash + Clone> TwoQSet<K> {
         // Pre-size for residents plus ghosts (bounded, so absurd
         // capacities don't allocate gigabytes up front).
         let cap = capacity.min(crate::PREALLOC_PAGES_MAX);
-        Self { lists: MultiList::with_capacity(cap + kout.min(cap) + 1), kin, kout }
+        Self { lists: MultiList::with_ghost_lists(cap + kout.min(cap) + 1, 1), kin, kout }
     }
 
     /// [`TwoQSet::new`] under the crate-wide constructor convention.
@@ -68,69 +67,47 @@ impl<K: Eq + Hash + Clone> TwoQSet<K> {
         Self::new(capacity)
     }
 
-    /// Number of resident keys.
-    pub fn len(&self) -> usize {
-        self.lists.list_len(A1IN) + self.lists.list_len(AM)
+    /// A hit in the protected queue moves the page to its front.
+    /// Classic 2Q: a hit inside the trial queue does not move the page
+    /// — only a reference after eviction promotes.
+    pub(crate) fn lookup(&mut self, key: &K, promote: bool) -> Option<&mut PageState> {
+        let slot = self.lists.resident_slot(key)?;
+        if promote && self.lists.list_at(slot) == AM {
+            self.lists.promote(slot, AM);
+        }
+        Some(self.lists.state_at_mut(slot))
     }
 
-    /// Whether no keys are resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether `key` is resident (ghost entries do not count).
-    pub fn contains(&self, key: &K) -> bool {
-        matches!(self.lists.which_list(key), Some(A1IN) | Some(AM))
-    }
-
-    /// Records a reference to `key`. Returns `true` if the key was not
-    /// resident before (the caller must fetch the page).
-    pub fn touch(&mut self, key: K) -> bool {
-        match self.lists.slot_of(&key) {
-            Some(slot) => match self.lists.list_at(slot) {
-                AM => {
-                    self.lists.promote(slot, AM);
-                    false
-                }
-                A1IN => {
-                    // Classic 2Q: a hit inside the trial queue does not
-                    // move the page — only a reference after eviction
-                    // promotes.
-                    false
-                }
-                _ => {
-                    // Seen before and evicted from trial: this is the
-                    // second reference — admit to the protected queue.
-                    self.lists.promote(slot, AM);
-                    true
-                }
-            },
-            None => {
-                self.lists.push_front_new(A1IN, key);
-                true
-            }
+    /// A new key enters the trial queue; a ghost key — seen before and
+    /// evicted from trial, so this is its second reference — is
+    /// admitted to the protected queue.
+    pub(crate) fn insert(&mut self, key: K, state: PageState) {
+        if let Err(slot) = self.lists.find_or_push(A1IN, key, state) {
+            debug_assert_eq!(self.lists.list_at(slot), A1OUT, "insert of a resident key");
+            self.lists.promote(slot, AM);
+            *self.lists.state_at_mut(slot) = state;
         }
     }
 
-    /// Evicts and returns a victim. Trial pages go first once the trial
-    /// queue is over its target, leaving a ghost behind; otherwise the
-    /// protected queue's LRU page goes (no ghost — it had its chance).
-    pub fn pop_victim(&mut self) -> Option<K> {
+    /// Evicts a victim. Trial pages go first once the trial queue is
+    /// over its target, leaving a ghost behind; otherwise the protected
+    /// queue's LRU page goes (no ghost — it had its chance).
+    pub(crate) fn pop_victim_entry(&mut self) -> Option<(K, PageState)> {
         if self.lists.list_len(A1IN) > self.kin || self.lists.list_len(AM) == 0 {
-            let v = self.lists.transfer_back(A1IN, A1OUT)?;
+            let victim = self.lists.transfer_back(A1IN, A1OUT)?;
             while self.lists.list_len(A1OUT) > self.kout {
                 self.lists.pop_back(A1OUT);
             }
-            Some(v)
+            Some(victim)
         } else {
             self.lists.pop_back(AM)
         }
     }
 
-    /// Removes a specific key (resident or ghost); returns whether a
-    /// *resident* entry was removed.
-    pub fn remove(&mut self, key: &K) -> bool {
-        matches!(self.lists.remove(key), Some(A1IN) | Some(AM))
+    /// Removes a specific key (resident or ghost), returning the state
+    /// of a *resident* entry.
+    pub(crate) fn remove_entry(&mut self, key: &K) -> Option<PageState> {
+        self.lists.remove(key).and_then(|(list, state)| (list != A1OUT).then_some(state))
     }
 
     /// Number of keys in the protected queue (diagnostics/tests).
@@ -150,14 +127,14 @@ const PROTECTED: usize = 1;
 
 /// Segmented LRU: probationary + protected segments.
 #[derive(Debug, Clone)]
-pub struct SlruSet<K: Eq + Hash + Clone> {
+pub struct SlruSet<K: SlabKey> {
     /// Probationary and protected segments over one slab.
-    lists: MultiList<K, 2>,
+    pub(crate) lists: MultiList<K, 2>,
     /// Cap on the protected segment (classic: ½ of capacity).
     protected_cap: usize,
 }
 
-impl<K: Eq + Hash + Clone> SlruSet<K> {
+impl<K: SlabKey> SlruSet<K> {
     /// Creates an SLRU set for a cache of `capacity` pages; the
     /// protected segment holds at most half of it (at least one page).
     pub fn new(capacity: usize) -> Self {
@@ -171,50 +148,33 @@ impl<K: Eq + Hash + Clone> SlruSet<K> {
         Self::new(capacity)
     }
 
-    /// Number of resident keys.
-    pub fn len(&self) -> usize {
-        self.lists.total_len()
-    }
-
-    /// Whether no keys are resident.
-    pub fn is_empty(&self) -> bool {
-        self.lists.is_empty()
-    }
-
-    /// Whether `key` is resident in either segment.
-    pub fn contains(&self, key: &K) -> bool {
-        self.lists.contains(key)
-    }
-
-    /// Records a reference. First touch lands probationary; a repeat
-    /// touch promotes to protected, demoting that segment's LRU entry
-    /// back to probationary if it is full. Returns `true` if newly
-    /// resident.
-    pub fn touch(&mut self, key: K) -> bool {
-        match self.lists.slot_of(&key) {
-            Some(slot) => {
-                self.lists.promote(slot, PROTECTED);
-                while self.lists.list_len(PROTECTED) > self.protected_cap {
-                    self.lists.transfer_back(PROTECTED, PROBATION);
-                }
-                false
-            }
-            None => {
-                self.lists.push_front_new(PROBATION, key);
-                true
+    /// A hit promotes to protected, demoting that segment's LRU entry
+    /// back to probationary if it is full.
+    pub(crate) fn lookup(&mut self, key: &K, promote: bool) -> Option<&mut PageState> {
+        let slot = self.lists.slot_of(key)?;
+        if promote {
+            self.lists.promote(slot, PROTECTED);
+            while self.lists.list_len(PROTECTED) > self.protected_cap {
+                self.lists.transfer_back(PROTECTED, PROBATION);
             }
         }
+        Some(self.lists.state_at_mut(slot))
+    }
+
+    /// First references land probationary.
+    pub(crate) fn insert(&mut self, key: K, state: PageState) {
+        self.lists.push_front_new(PROBATION, key, state);
     }
 
     /// Evicts the probationary LRU entry, falling back to the
     /// protected segment only when probation is empty.
-    pub fn pop_victim(&mut self) -> Option<K> {
+    pub(crate) fn pop_victim_entry(&mut self) -> Option<(K, PageState)> {
         self.lists.pop_back(PROBATION).or_else(|| self.lists.pop_back(PROTECTED))
     }
 
-    /// Removes a specific key; returns whether it was present.
-    pub fn remove(&mut self, key: &K) -> bool {
-        self.lists.remove(key).is_some()
+    /// Removes a specific key, returning its state.
+    pub(crate) fn remove_entry(&mut self, key: &K) -> Option<PageState> {
+        self.lists.remove(key).map(|(_, state)| state)
     }
 
     /// Number of keys in the protected segment (diagnostics/tests).
@@ -226,6 +186,7 @@ impl<K: Eq + Hash + Clone> SlruSet<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PolicySet;
     use proptest::prelude::*;
 
     // --- 2Q ---

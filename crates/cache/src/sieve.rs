@@ -15,101 +15,86 @@
 //! flag is the visited bit; the hand is a stable slab slot), so a warm
 //! set performs zero allocation per access.
 
-use std::hash::Hash;
-
-use crate::intrusive::{MultiList, NIL};
+use crate::intrusive::{MultiList, SlabKey, NIL};
+use crate::page::PageState;
 
 /// A SIEVE residency set over keys of type `K`.
-#[derive(Debug, Clone, Default)]
-pub struct SieveSet<K: Eq + Hash + Clone> {
-    list: MultiList<K, 1>,
+#[derive(Debug, Clone)]
+pub struct SieveSet<K: SlabKey> {
+    pub(crate) lists: MultiList<K, 1>,
     /// Slab slot the next eviction sweep starts from; [`NIL`] restarts
     /// the sweep at the tail (the oldest key).
     hand: usize,
 }
 
-impl<K: Eq + Hash + Clone> SieveSet<K> {
+impl<K: SlabKey> SieveSet<K> {
     /// Creates an empty set.
     pub fn new() -> Self {
-        Self { list: MultiList::new(), hand: NIL }
+        Self { lists: MultiList::new(), hand: NIL }
     }
 
     /// Creates an empty set pre-sized for `capacity` keys (bounded by
     /// [`crate::PREALLOC_PAGES_MAX`]).
     pub fn with_capacity(capacity: usize) -> Self {
-        Self { list: MultiList::with_capacity(capacity.min(crate::PREALLOC_PAGES_MAX)), hand: NIL }
+        Self { lists: MultiList::with_capacity(capacity.min(crate::PREALLOC_PAGES_MAX)), hand: NIL }
     }
 
-    /// Number of resident keys.
-    pub fn len(&self) -> usize {
-        self.list.total_len()
-    }
-
-    /// Whether no keys are resident.
-    pub fn is_empty(&self) -> bool {
-        self.list.is_empty()
-    }
-
-    /// Whether `key` is resident.
-    pub fn contains(&self, key: &K) -> bool {
-        self.list.contains(key)
-    }
-
-    /// Records a reference: a hit sets the visited bit without moving
-    /// the node (lazy promotion); a miss inserts at the head with the
-    /// bit clear. Returns `true` if newly inserted.
-    pub fn touch(&mut self, key: K) -> bool {
-        match self.list.slot_of(&key) {
-            Some(slot) => {
-                self.list.set_flag_at(slot, true);
-                false
-            }
-            None => {
-                self.list.push_front_new(0, key);
-                true
-            }
+    /// A hit sets the visited bit without moving the node (lazy
+    /// promotion).
+    pub(crate) fn lookup(&mut self, key: &K, promote: bool) -> Option<&mut PageState> {
+        let slot = self.lists.slot_of(key)?;
+        if promote {
+            self.lists.set_flag_at(slot, true);
         }
+        Some(self.lists.state_at_mut(slot))
     }
 
-    /// Evicts and returns the victim chosen by the hand sweep: visited
-    /// nodes on the way get their bit cleared and survive; the first
-    /// unvisited node goes. The hand resumes from the survivor side on
-    /// the next eviction.
-    pub fn pop_victim(&mut self) -> Option<K> {
-        if self.list.is_empty() {
+    /// A miss inserts at the head with the visited bit clear.
+    pub(crate) fn insert(&mut self, key: K, state: PageState) {
+        self.lists.push_front_new(0, key, state);
+    }
+
+    /// Evicts the victim chosen by the hand sweep: visited nodes on the
+    /// way get their bit cleared and survive; the first unvisited node
+    /// goes. The hand resumes from the survivor side on the next
+    /// eviction.
+    pub(crate) fn pop_victim_entry(&mut self) -> Option<(K, PageState)> {
+        if self.lists.is_empty() {
             return None;
         }
-        let mut slot = if self.hand == NIL { self.list.tail_of(0) } else { self.hand };
+        let mut slot = if self.hand == NIL { self.lists.tail_of(0) } else { self.hand };
         // Terminates: each visited node is cleared exactly once per
         // sweep, and a full wrap re-reaches it cleared.
-        while self.list.flag_at(slot) {
-            self.list.set_flag_at(slot, false);
-            let prev = self.list.prev_of(slot);
-            slot = if prev == NIL { self.list.tail_of(0) } else { prev };
+        while self.lists.flag_at(slot) {
+            self.lists.set_flag_at(slot, false);
+            let prev = self.lists.prev_of(slot);
+            slot = if prev == NIL { self.lists.tail_of(0) } else { prev };
         }
-        self.hand = self.list.prev_of(slot);
-        Some(self.list.remove_slot(slot))
+        self.hand = self.lists.prev_of(slot);
+        Some(self.lists.remove_slot(slot))
     }
 
-    /// Removes a specific key; returns whether it was present. The hand
-    /// steps over the removed node if it was parked on it.
-    pub fn remove(&mut self, key: &K) -> bool {
-        match self.list.slot_of(key) {
-            None => false,
-            Some(slot) => {
-                if self.hand == slot {
-                    self.hand = self.list.prev_of(slot);
-                }
-                self.list.remove_slot(slot);
-                true
-            }
+    /// Removes a specific key, returning its state. The hand steps over
+    /// the removed node if it was parked on it.
+    pub(crate) fn remove_entry(&mut self, key: &K) -> Option<PageState> {
+        let slot = self.lists.slot_of(key)?;
+        if self.hand == slot {
+            self.hand = self.lists.prev_of(slot);
         }
+        Some(self.lists.remove_slot(slot).1)
+    }
+}
+
+impl<K: SlabKey> Default for SieveSet<K> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PolicySet;
 
     #[test]
     fn unvisited_keys_evict_in_fifo_order() {

@@ -46,6 +46,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod disk;
 pub mod engine;

@@ -10,7 +10,10 @@
 //!     the shard exactly. This is the invariant that makes changing
 //!     the shard count — or the thread count of the parallel replay —
 //!     unable to change which pages a shard-local policy evicts on a
-//!     given stream.
+//!     given stream;
+//! (e) nothing observable depends on the page table's hash key: every
+//!     cache draws its own key, and independently built caches fed one
+//!     stream agree on every outcome, metric and resident page.
 //!
 //! These are the pins behind `replay_parallel`'s determinism
 //! guarantee; shrinking in the vendored proptest reports minimized
@@ -292,5 +295,84 @@ proptest! {
             prop_assert_eq!(lru.pop_victim(), Some(expect), "drain order");
         }
         prop_assert_eq!(lru.pop_victim(), None);
+    }
+
+    // (e) Hash independence: each cache keys its page table from
+    // `RandomState`, so three monolithic caches built from one config
+    // hash every page differently. Fed one stream — with closes that
+    // reopen the file and flushes — they and a one-shard sharded cache
+    // must agree on every outcome, metric and resident page; any
+    // result that leaked hash order would split them.
+    #[test]
+    fn outcomes_do_not_depend_on_the_hash_key(
+        ops in prop::collection::vec(
+            (0u8..9, 0u64..20_000, 1u64..98_304, prop::bool::ANY, 0usize..2),
+            1..100,
+        ),
+        capacity in 1usize..48,
+    ) {
+        for policy in ReplacementPolicy::ALL {
+            let mut caches: Vec<BufferCache> =
+                (0..3).map(|_| BufferCache::new(config(policy, capacity))).collect();
+            let sharded = ShardedBufferCache::new(config(policy, capacity), 1);
+            let files: Vec<_> = ["a", "b"]
+                .iter()
+                .map(|name| {
+                    for cache in caches.iter_mut() {
+                        cache.register_file(*name);
+                    }
+                    sharded.register_file(*name)
+                })
+                .collect();
+            let mut pages = std::collections::BTreeSet::new();
+            for (i, &(sel, off_page, len, write, which)) in ops.iter().enumerate() {
+                let (f, off) = (files[which], off_page * 512);
+                let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                if sel >= 3 {
+                    let (first, last) = page_span(off, len, config(policy, capacity).page_size);
+                    pages.extend((first..=last).map(|index| (f, index)));
+                }
+                let want = match sel {
+                    0 => sharded.open(f),
+                    1 => {
+                        let mut out = sharded.close(f);
+                        out.absorb(&sharded.open(f));
+                        out
+                    }
+                    2 => sharded.seek(f, off),
+                    3 => sharded.flush(),
+                    4 | 5 => sharded.access_run(f, off, len, kind),
+                    _ => sharded.access(f, off, len, kind),
+                };
+                for (c, cache) in caches.iter_mut().enumerate() {
+                    let got = match sel {
+                        0 => cache.open(f),
+                        1 => {
+                            let mut out = cache.close(f);
+                            out.absorb(&cache.open(f));
+                            out
+                        }
+                        2 => cache.seek(f, off),
+                        3 => cache.flush(),
+                        4 | 5 => cache.access_run(f, off, len, kind),
+                        _ => cache.access(f, off, len, kind),
+                    };
+                    prop_assert_eq!(got, want, "op {} diverged in cache {} ({})", i, c, policy.name());
+                    prop_assert_eq!(cache.resident_pages(), sharded.resident_pages());
+                }
+            }
+            let page_size = config(policy, capacity).page_size;
+            for (c, cache) in caches.iter().enumerate() {
+                prop_assert_eq!(cache.metrics(), sharded.metrics(), "cache {} ({})", c, policy.name());
+                for &(f, index) in &pages {
+                    prop_assert_eq!(
+                        cache.is_resident(f, index * page_size),
+                        sharded.is_resident(f, index * page_size),
+                        "page {} of {:?} in cache {} ({})",
+                        index, f, c, policy.name(),
+                    );
+                }
+            }
+        }
     }
 }
