@@ -40,8 +40,14 @@ use std::hash::Hash;
 use crate::hash::KeyedState;
 use crate::page::{PageId, PageState};
 
-/// Sentinel slot index meaning "no node".
-pub const NIL: usize = usize::MAX;
+/// Sentinel slot index meaning "no node". Slots fit in 32 bits, so
+/// nodes store their links as [`Link`]s and `NIL` round-trips through
+/// one.
+pub const NIL: usize = Link::MAX as usize;
+
+/// A slot index as stored in a node: half the width of `usize`, which
+/// keeps a page's node within 40 bytes.
+type Link = u32;
 
 /// The `list` tag of a slot sitting on the free list.
 const FREE: u8 = u8::MAX;
@@ -77,11 +83,11 @@ ungrouped_keys!(i32, u32, u64, &str);
 #[derive(Debug, Clone)]
 struct Node<K> {
     key: K,
-    prev: usize,
-    next: usize,
+    prev: Link,
+    next: Link,
     /// Neighbours in the key's group chain.
-    group_prev: usize,
-    group_next: usize,
+    group_prev: Link,
+    group_next: Link,
     /// Which of the `N` lists this node is linked into ([`FREE`] once
     /// the slot is released).
     list: u8,
@@ -230,12 +236,12 @@ impl<K: SlabKey, const N: usize> MultiList<K, N> {
     /// The slot before `slot` in its list (toward the front), or
     /// [`NIL`].
     pub fn prev_of(&self, slot: usize) -> usize {
-        self.nodes[slot].prev
+        self.nodes[slot].prev as usize
     }
 
     /// The slot after `slot` in its list (toward the back), or [`NIL`].
     pub fn next_of(&self, slot: usize) -> usize {
-        self.nodes[slot].next
+        self.nodes[slot].next as usize
     }
 
     /// The front slot of `list`, or [`NIL`] when empty.
@@ -255,16 +261,16 @@ impl<K: SlabKey, const N: usize> MultiList<K, N> {
 
     fn unlink(&mut self, slot: usize) {
         let list = self.nodes[slot].list as usize;
-        let (prev, next) = (self.nodes[slot].prev, self.nodes[slot].next);
+        let (prev, next) = (self.nodes[slot].prev as usize, self.nodes[slot].next as usize);
         if prev == NIL {
             self.head[list] = next;
         } else {
-            self.nodes[prev].next = next;
+            self.nodes[prev].next = next as Link;
         }
         if next == NIL {
             self.tail[list] = prev;
         } else {
-            self.nodes[next].prev = prev;
+            self.nodes[next].prev = prev as Link;
         }
         self.len[list] -= 1;
     }
@@ -274,11 +280,11 @@ impl<K: SlabKey, const N: usize> MultiList<K, N> {
         {
             let node = &mut self.nodes[slot];
             node.list = list as u8;
-            node.prev = NIL;
-            node.next = old_head;
+            node.prev = NIL as Link;
+            node.next = old_head as Link;
         }
         if old_head != NIL {
-            self.nodes[old_head].prev = slot;
+            self.nodes[old_head].prev = slot as Link;
         }
         self.head[list] = slot;
         if self.tail[list] == NIL {
@@ -295,24 +301,25 @@ impl<K: SlabKey, const N: usize> MultiList<K, N> {
             self.groups.resize(group + 1, NIL);
         }
         let old_head = self.groups[group];
-        self.nodes[slot].group_prev = NIL;
-        self.nodes[slot].group_next = old_head;
+        self.nodes[slot].group_prev = NIL as Link;
+        self.nodes[slot].group_next = old_head as Link;
         if old_head != NIL {
-            self.nodes[old_head].group_prev = slot;
+            self.nodes[old_head].group_prev = slot as Link;
         }
         self.groups[group] = slot;
     }
 
     fn unlink_group(&mut self, slot: usize) {
-        let (prev, next) = (self.nodes[slot].group_prev, self.nodes[slot].group_next);
+        let (prev, next) =
+            (self.nodes[slot].group_prev as usize, self.nodes[slot].group_next as usize);
         if prev == NIL {
             let group = self.nodes[slot].key.group();
             self.groups[group] = next;
         } else {
-            self.nodes[prev].group_next = next;
+            self.nodes[prev].group_next = next as Link;
         }
         if next != NIL {
-            self.nodes[next].group_prev = prev;
+            self.nodes[next].group_prev = prev as Link;
         }
     }
 
@@ -321,10 +328,10 @@ impl<K: SlabKey, const N: usize> MultiList<K, N> {
     fn alloc_front(&mut self, list: usize, key: K, state: PageState) -> usize {
         let node = Node {
             key,
-            prev: NIL,
-            next: NIL,
-            group_prev: NIL,
-            group_next: NIL,
+            prev: NIL as Link,
+            next: NIL as Link,
+            group_prev: NIL as Link,
+            group_next: NIL as Link,
             list: 0,
             flag: false,
             state,
@@ -335,6 +342,7 @@ impl<K: SlabKey, const N: usize> MultiList<K, N> {
                 s
             }
             None => {
+                assert!(self.nodes.len() < NIL, "slab outgrew 32-bit slot links");
                 self.nodes.push(node);
                 self.nodes.len() - 1
             }
@@ -450,7 +458,7 @@ impl<K: SlabKey, const N: usize> MultiList<K, N> {
             if self.is_resident(slot) {
                 out.push(self.nodes[slot].key.clone());
             }
-            slot = self.nodes[slot].group_next;
+            slot = self.nodes[slot].group_next as usize;
         }
     }
 
@@ -488,7 +496,7 @@ impl<'a, K: SlabKey, const N: usize> Iterator for ListIter<'a, K, N> {
             return None;
         }
         let node = &self.multi.nodes[self.cur];
-        self.cur = node.next;
+        self.cur = node.next as usize;
         Some(&node.key)
     }
 }
