@@ -40,9 +40,8 @@ use std::hash::Hash;
 use crate::hash::KeyedState;
 use crate::page::{PageId, PageState};
 
-/// Sentinel slot index meaning "no node". Slots fit in 32 bits, so
-/// nodes store their links as [`Link`]s and `NIL` round-trips through
-/// one.
+/// Sentinel slot index meaning "no node". Nodes store their links in
+/// 32 bits, so slots stay below `u32::MAX` and `NIL` is that value.
 pub const NIL: usize = Link::MAX as usize;
 
 /// A slot index as stored in a node: half the width of `usize`, which
@@ -170,11 +169,6 @@ impl<K: SlabKey, const N: usize> MultiList<K, N> {
     /// Whether no keys are tracked in any list.
     pub fn is_empty(&self) -> bool {
         self.index.is_empty()
-    }
-
-    /// Whether `key` is tracked (in any list).
-    pub fn contains(&self, key: &K) -> bool {
-        self.index.contains_key(key)
     }
 
     /// The slab slot of `key`, if tracked.
