@@ -375,9 +375,9 @@ impl<K: SlabKey, const N: usize> MultiList<K, N> {
     /// already probed residency this operation. The key **must not**
     /// be tracked (debug-asserted).
     pub fn push_front_new(&mut self, list: usize, key: K, state: PageState) -> usize {
-        debug_assert!(!self.index.contains_key(&key), "push_front_new on a tracked key");
         let slot = self.alloc_front(list, key.clone(), state);
-        self.index.insert(key, slot);
+        let displaced = self.index.insert(key, slot);
+        debug_assert!(displaced.is_none(), "push_front_new on a tracked key");
         slot
     }
 

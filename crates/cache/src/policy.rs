@@ -394,6 +394,8 @@ impl_policy_set!(LruList, ClockSet, FifoSet, TwoQSet, SlruSet, SieveSet, ArcSet)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::hash::{Hash, Hasher};
 
     #[test]
     fn clock_second_chance() {
@@ -517,5 +519,55 @@ mod tests {
         copy.touch(2);
         assert_eq!(original.len(), 1, "clone must not alias the original");
         assert_eq!(copy.len(), 2);
+    }
+
+    thread_local! {
+        static HASHES: Cell<u32> = const { Cell::new(0) };
+    }
+
+    /// A key whose `Hash` counts its calls: each call is one probe of
+    /// the slab's index.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Counted(u64);
+
+    impl Hash for Counted {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            HASHES.with(|n| n.set(n.get() + 1));
+            self.0.hash(state);
+        }
+    }
+
+    impl SlabKey for Counted {
+        fn group(&self) -> usize {
+            0
+        }
+    }
+
+    fn probes(op: impl FnOnce()) -> u32 {
+        let before = HASHES.with(Cell::get);
+        op();
+        HASHES.with(Cell::get) - before
+    }
+
+    #[test]
+    fn a_hit_costs_one_probe_and_an_evicting_miss_three() {
+        for policy in ReplacementPolicy::ALL {
+            // Pre-sized well past its contents, so no probe count
+            // includes a rehash.
+            let mut set: Box<dyn PolicySet<Counted>> = policy.build(64);
+            for k in 0..8 {
+                set.insert(Counted(k), PageState::default());
+            }
+            let hit = probes(|| assert!(set.lookup(&Counted(3), true).is_some()));
+            assert_eq!(hit, 1, "{}: a resident hit", policy.name());
+            let miss = probes(|| {
+                assert!(set.lookup(&Counted(100), true).is_none());
+                assert!(set.pop_victim_entry().is_some());
+                set.insert(Counted(100), PageState::default());
+            });
+            // 2Q and ARC keep the victim in the index as a ghost.
+            let ghosting = matches!(policy, ReplacementPolicy::TwoQ | ReplacementPolicy::Arc);
+            assert_eq!(miss, if ghosting { 2 } else { 3 }, "{}: a miss that evicts", policy.name());
+        }
     }
 }
