@@ -20,7 +20,9 @@
 //!   every `s` in 0..=48, ids that share their low 32 bits, `file = i`
 //!   at a fixed index) hashed with a fixed key must spread their
 //!   14-bit bucket indices over at least half of 16 384 keys; a uniform
-//!   hash reaches about 63 %. The unit tests below pin this.
+//!   hash reaches about 63 %. The same bound covers the `u32` pid and
+//!   `(pid, file)` keys of the trace decoder and verifier (`i << s`,
+//!   `(i, 0)`, `(0, i << s)`). The unit tests below pin this.
 //! - **No hash-order dependence.** Because every table has its own
 //!   key, iteration order differs between two caches fed the same
 //!   stream. No observable stream — outcomes, metrics, eviction order,
@@ -133,6 +135,7 @@ mod tests {
     use super::*;
     use crate::page::{FileId, PageId};
     use std::collections::HashSet;
+    use std::hash::Hash;
 
     /// Keys per adversarial family, and the bucket mask of a table that
     /// holds them (14 bits).
@@ -140,12 +143,12 @@ mod tests {
     const BUCKETS: u64 = KEYS - 1;
 
     /// Distinct 14-bit bucket indices of `ids` under a fixed test key.
-    fn buckets_used(ids: impl Iterator<Item = PageId>) -> usize {
+    fn buckets_used<K: Hash>(ids: impl Iterator<Item = K>) -> usize {
         let state = KeyedState::with_key(0x0123_4567_89ab_cdef);
         ids.map(|id| state.hash_one(id) & BUCKETS).collect::<HashSet<_>>().len()
     }
 
-    fn assert_spreads(family: &str, ids: impl Iterator<Item = PageId>) {
+    fn assert_spreads<K: Hash>(family: &str, ids: impl Iterator<Item = K>) {
         let used = buckets_used(ids);
         assert!(
             used as u64 >= KEYS / 2,
@@ -177,6 +180,25 @@ mod tests {
             "file = i",
             (0..KEYS).map(|i| PageId { file: FileId(i as u32), index: 12_345 }),
         );
+    }
+
+    // The trace decoder and verifier key their tables by untrusted pids
+    // and `(pid, file)` pairs; the same flood bound holds for those
+    // key types (strides up to 18 keep `i << s` within a `u32`).
+
+    #[test]
+    fn strided_pids_spread_over_buckets() {
+        for s in 0..=18u32 {
+            assert_spreads(&format!("pid = i << {s}"), (0..KEYS as u32).map(|i| i << s));
+        }
+    }
+
+    #[test]
+    fn pid_file_pairs_spread_over_buckets() {
+        assert_spreads("(i, 0)", (0..KEYS as u32).map(|i| (i, 0u32)));
+        for s in 0..=18u32 {
+            assert_spreads(&format!("(0, i << {s})"), (0..KEYS as u32).map(|i| (0u32, i << s)));
+        }
     }
 
     #[test]

@@ -110,10 +110,13 @@ impl BlockIndexEntry {
     }
 }
 
-/// The CRC32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup
-/// table, built once at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The slice-by-8 CRC32 (IEEE 802.3, reflected, polynomial
+/// `0xEDB88320`) lookup tables, built at compile time. `CRC_TABLES[0]`
+/// is the classic bytewise table; `CRC_TABLES[k][b]` is the CRC of
+/// byte `b` followed by `k` zero bytes, so eight table lookups fold
+/// eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -122,18 +125,43 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// CRC32 (IEEE) of `data` — the checksum each block header stores over
-/// its payload.
+/// its payload. Folds eight bytes per step (slice-by-8), then the tail
+/// bytewise.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -152,7 +180,20 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 ///
 /// Rejects truncation and non-canonical encodings longer than ten
 /// bytes with the caller's block number in the error.
+#[inline]
 pub fn get_varint(data: &[u8], pos: &mut usize, block: u64) -> Result<u64, TraceError> {
+    // Deltas are mostly small: take one-byte varints without the loop.
+    if let Some(&b) = data.get(*pos) {
+        if b < 0x80 {
+            *pos += 1;
+            return Ok(u64::from(b));
+        }
+    }
+    get_long_varint(data, pos, block)
+}
+
+/// The multi-byte (and error) path of [`get_varint`].
+fn get_long_varint(data: &[u8], pos: &mut usize, block: u64) -> Result<u64, TraceError> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -219,6 +260,15 @@ mod tests {
         assert_ne!(crc32(b"a"), crc32(b"b"));
     }
 
+    /// The plain bytewise table loop: the oracle slice-by-8 must match.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn block_header_round_trips() {
         let h = BlockHeader {
@@ -275,6 +325,17 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn crc32_matches_the_bytewise_oracle(
+            data in proptest::collection::vec(any::<u8>(), 0..4096),
+            start in 0usize..8,
+        ) {
+            // Start offsets 0..8 cover unaligned starts of the
+            // eight-byte folding loop.
+            let slice = &data[start.min(data.len())..];
+            prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+        }
+
         #[test]
         fn varint_round_trips(v in any::<u64>()) {
             let mut out = Vec::new();

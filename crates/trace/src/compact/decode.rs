@@ -1,13 +1,18 @@
-//! The v2 streaming decoder.
+//! The v2 decoder: both admission entry points.
 //!
 //! [`CompactSource`] opens a v2 buffer, verifies it (framing walk +
 //! per-block CRC and structural bounds — the admission-on-ingest pass),
 //! and then streams records as a [`TraceSource`] decoding one block at
 //! a time: O(block) memory however long the trace, an exact
 //! [`TraceSource::size_hint`], and seek-to-block through the index
-//! footer.
+//! footer. [`decode_trace`] is the one-pass alternative for callers
+//! that want the whole trace in memory: it decodes each block once,
+//! straight into the output.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+
+use clio_cache::hash::KeyedState;
 
 use crate::error::TraceError;
 use crate::header::TraceHeader;
@@ -62,8 +67,13 @@ fn decode_prelude(data: &[u8]) -> Result<(TraceHeader, usize), TraceError> {
     Ok((header, 32 + name_len))
 }
 
-/// Decodes the payload columns of one block into `out` (cleared
-/// first), applying every structural check the format defines.
+/// Decodes the payload columns of one block, appending its records to
+/// `out`, and applies every structural check the format defines.
+///
+/// The columns are fused into the records as they are read: the op
+/// column appends one record per op, and each later column fills its
+/// field in place. On `Err` the records appended so far are partial
+/// and the caller must discard them.
 fn decode_payload(
     payload: &[u8],
     header: &BlockHeader,
@@ -73,8 +83,6 @@ fn decode_payload(
 ) -> Result<(), TraceError> {
     let corrupt = |context: &'static str| TraceError::CorruptBlock { block, context };
     let n = header.record_count as usize;
-    out.clear();
-    out.reserve(n);
     let mut pos = 0usize;
 
     // 1. Op tags, two nibbles per byte.
@@ -82,52 +90,64 @@ fn decode_payload(
     if payload.len() < op_bytes {
         return Err(corrupt("op column ran past the payload"));
     }
-    let mut ops = Vec::with_capacity(n);
+    // Only now is `n` bounded by the payload size (two ops per byte).
+    let base = out.len();
+    out.reserve(n);
     for i in 0..n {
         let byte = payload[i / 2];
         let nibble = if i % 2 == 0 { byte & 0x0F } else { byte >> 4 };
         let op = IoOp::from_code(nibble).ok_or_else(|| corrupt("op nibble outside 0-4"))?;
-        ops.push(op);
+        out.push(TraceRecord {
+            op,
+            num_records: 0,
+            pid: 0,
+            file_id: 0,
+            wall_clock_us: 0,
+            proc_clock_us: 0,
+            offset: 0,
+            length: 0,
+        });
     }
     if n % 2 == 1 && payload[op_bytes - 1] >> 4 != 0 {
         return Err(corrupt("nonzero padding nibble in op column"));
     }
     pos += op_bytes;
+    let records = &mut out[base..];
 
-    // 2. Pid dictionary + index column.
+    // 2. Pid dictionary + index column. Duplicates are found with a
+    //    keyed set: the dictionary size is untrusted, so a linear scan
+    //    per entry would make admission quadratic in it.
     let dict_len = get_varint(payload, &mut pos, block)?;
     if dict_len == 0 || dict_len > n as u64 {
         return Err(corrupt("pid dictionary size out of range"));
     }
     let mut dict = Vec::with_capacity(dict_len as usize);
+    let mut seen = HashSet::with_capacity_and_hasher(dict_len as usize, KeyedState::default());
     for _ in 0..dict_len {
         let pid = get_varint(payload, &mut pos, block)?;
         if pid >= u64::from(roster.num_processes) {
             return Err(corrupt("dictionary pid outside the process roster"));
         }
         let pid = pid as u32;
-        if dict.contains(&pid) {
+        if !seen.insert(pid) {
             return Err(corrupt("duplicate pid in dictionary"));
         }
         dict.push(pid);
     }
-    let mut pids = Vec::with_capacity(n);
     if dict.len() == 1 {
-        pids.resize(n, dict[0]);
+        records.iter_mut().for_each(|r| r.pid = dict[0]);
     } else {
-        for _ in 0..n {
+        for r in records.iter_mut() {
             let idx = get_varint(payload, &mut pos, block)?;
-            let pid =
+            r.pid =
                 *dict.get(idx as usize).ok_or_else(|| corrupt("pid index outside dictionary"))?;
-            pids.push(pid);
         }
     }
 
     // 3. File ids.
-    let mut files = Vec::with_capacity(n);
     let mut prev_file = 0u32;
     let (mut seen_min, mut seen_max) = (u32::MAX, 0u32);
-    for _ in 0..n {
+    for r in records.iter_mut() {
         let delta = unzigzag(get_varint(payload, &mut pos, block)?);
         let delta = i32::try_from(delta).map_err(|_| corrupt("file id delta overflows u32"))?;
         let file_id = apply_delta32(prev_file, delta);
@@ -140,63 +160,49 @@ fn decode_payload(
         seen_min = seen_min.min(file_id);
         seen_max = seen_max.max(file_id);
         prev_file = file_id;
-        files.push(file_id);
+        r.file_id = file_id;
     }
     if seen_min != header.min_file || seen_max != header.max_file {
         return Err(corrupt("declared file id range not attained"));
     }
 
     // 4–5. Wall and process clocks.
-    let mut walls = Vec::with_capacity(n);
     let mut prev_wall = 0u64;
-    for _ in 0..n {
+    for r in records.iter_mut() {
         prev_wall = apply_delta64(prev_wall, unzigzag(get_varint(payload, &mut pos, block)?));
-        walls.push(prev_wall);
+        r.wall_clock_us = prev_wall;
     }
-    if walls.first() != Some(&header.first_clock) || walls.last() != Some(&header.last_clock) {
+    let first_wall = records.first().map(|r| r.wall_clock_us);
+    let last_wall = records.last().map(|r| r.wall_clock_us);
+    if first_wall != Some(header.first_clock) || last_wall != Some(header.last_clock) {
         return Err(corrupt("clock bounds mismatch"));
     }
-    let mut procs = Vec::with_capacity(n);
     let mut prev_proc = 0u64;
-    for _ in 0..n {
+    for r in records.iter_mut() {
         prev_proc = apply_delta64(prev_proc, unzigzag(get_varint(payload, &mut pos, block)?));
-        procs.push(prev_proc);
+        r.proc_clock_us = prev_proc;
     }
 
     // 6. Repeat counts.
-    let mut repeats = Vec::with_capacity(n);
-    for _ in 0..n {
+    for r in records.iter_mut() {
         let v = get_varint(payload, &mut pos, block)?;
-        let v = u32::try_from(v).map_err(|_| corrupt("repeat count overflows u32"))?;
-        repeats.push(v);
+        r.num_records = u32::try_from(v).map_err(|_| corrupt("repeat count overflows u32"))?;
     }
 
     // 7. Lengths.
-    let mut lengths = Vec::with_capacity(n);
     let mut prev_len = 0u64;
-    for _ in 0..n {
+    for r in records.iter_mut() {
         prev_len = apply_delta64(prev_len, unzigzag(get_varint(payload, &mut pos, block)?));
-        lengths.push(prev_len);
+        r.length = prev_len;
     }
 
-    // 8. Offsets, predicted per (pid, file) stream.
-    let mut stream_pos: std::collections::HashMap<(u32, u32), u64> =
-        std::collections::HashMap::new();
-    for i in 0..n {
-        let key = (pids[i], files[i]);
-        let predicted = stream_pos.get(&key).copied().unwrap_or(0);
-        let offset = apply_delta64(predicted, unzigzag(get_varint(payload, &mut pos, block)?));
-        stream_pos.insert(key, offset.wrapping_add(lengths[i]));
-        out.push(TraceRecord {
-            op: ops[i],
-            num_records: repeats[i],
-            pid: pids[i],
-            file_id: files[i],
-            wall_clock_us: walls[i],
-            proc_clock_us: procs[i],
-            offset,
-            length: lengths[i],
-        });
+    // 8. Offsets, predicted per (pid, file) stream. The keys are
+    //    untrusted, so the table hashes with the keyed hasher.
+    let mut stream_pos: HashMap<(u32, u32), u64, KeyedState> = HashMap::default();
+    for r in records.iter_mut() {
+        let predicted = stream_pos.entry((r.pid, r.file_id)).or_insert(0);
+        r.offset = apply_delta64(*predicted, unzigzag(get_varint(payload, &mut pos, block)?));
+        *predicted = r.offset.wrapping_add(r.length);
     }
 
     if pos != payload.len() {
@@ -233,7 +239,7 @@ fn frame_block(
     Ok((header, payload_start..payload_end))
 }
 
-/// Verifies the block's CRC and decodes its payload into `out`.
+/// Verifies the block's CRC and appends its decoded records to `out`.
 fn decode_block(
     data: &[u8],
     pos: usize,
@@ -252,16 +258,20 @@ fn decode_block(
     Ok((header, end))
 }
 
-/// A verified, streaming v2 trace reader.
+/// A verified, streaming v2 trace reader: the streaming admission
+/// entry point.
 ///
 /// Construction ([`CompactSource::from_bytes`] / [`CompactSource::load`])
 /// is the admission pass: the whole container is framed and every block
-/// CRC-checked and structurally decoded before the first record is
-/// handed out, so corrupt input is rejected with a coded [`TraceError`]
-/// naming the block where it breaks — nothing unverified ever reaches a
-/// replay engine. Streaming then re-decodes lazily, one block in memory
-/// at a time, directly from the shared buffer (cloning the source or
-/// re-opening the same bytes copies nothing but an `Arc`).
+/// CRC-checked and structurally decoded, its records discarded, before
+/// the first record is handed out. Corrupt input is rejected with a
+/// coded [`TraceError`] naming the block where it breaks, so nothing
+/// unverified ever reaches a replay engine. Streaming then re-decodes
+/// lazily, one block in memory at a time, directly from the shared
+/// buffer (cloning the source or re-opening the same bytes copies
+/// nothing but an `Arc`). Each block is thus decoded twice; that is the
+/// price of O(block) memory. To hold the whole trace in memory anyway,
+/// use the one-pass [`decode_trace`], which decodes each block once.
 #[derive(Debug, Clone)]
 pub struct CompactSource {
     data: Arc<Vec<u8>>,
@@ -286,8 +296,8 @@ impl CompactSource {
     /// Opens and verifies a v2 container (see the type docs: this is
     /// the admission pass).
     pub fn from_bytes(data: impl Into<Arc<Vec<u8>>>) -> Result<Self, TraceError> {
-        let mut source = Self::open_unverified(data.into())?;
-        source.verify_blocks()?;
+        let source = Self::open_unverified(data.into())?;
+        source.decode_blocks(&mut Vec::new(), false)?;
         Ok(source)
     }
 
@@ -299,7 +309,7 @@ impl CompactSource {
     /// Frames the container (prelude, block walk, index footer, end
     /// marker) without decoding any payload. Every structural property
     /// of the *framing* is checked here; the per-block payload checks
-    /// run in [`CompactSource::verify_blocks`].
+    /// run in [`CompactSource::decode_blocks`].
     fn open_unverified(data: Arc<Vec<u8>>) -> Result<Self, TraceError> {
         let (header, blocks_start) = decode_prelude(&data)?;
         // Walk the blocks by frame, collecting what the footer must
@@ -397,13 +407,16 @@ impl CompactSource {
         })
     }
 
-    /// The admission pass over the payloads: CRC + full structural
-    /// decode of every block, output discarded.
-    fn verify_blocks(&mut self) -> Result<(), TraceError> {
-        let mut scratch = Vec::new();
+    /// CRC-checks and decodes every block exactly once, in file order.
+    /// With `keep` the records accumulate in `out`; without it `out` is
+    /// scratch, cleared before each block.
+    fn decode_blocks(&self, out: &mut Vec<TraceRecord>, keep: bool) -> Result<(), TraceError> {
         let mut pos = self.blocks_start;
         for block in 0..self.index.len() as u64 {
-            let (_, end) = decode_block(&self.data, pos, block, &self.header, &mut scratch)?;
+            if !keep {
+                out.clear();
+            }
+            let (_, end) = decode_block(&self.data, pos, block, &self.header, out)?;
             pos = end;
         }
         Ok(())
@@ -459,6 +472,7 @@ impl CompactSource {
         if self.next_block as usize >= self.index.len() {
             return false;
         }
+        self.block.clear();
         match decode_block(&self.data, self.pos, self.next_block, &self.header, &mut self.block) {
             Ok((_, end)) => {
                 self.pos = end;
@@ -502,10 +516,31 @@ impl TraceSource for CompactSource {
     }
 }
 
-/// Decodes a whole v2 buffer into an in-memory [`TraceFile`].
+/// Decodes a whole v2 buffer into an in-memory [`TraceFile`]: the
+/// one-pass admission entry point behind [`load_auto`](super::load_auto).
+///
+/// The container is framed first (prelude, block walk, index footer,
+/// end marker). Then each block is CRC-checked and decoded exactly
+/// once, its records appended straight to the output, which is
+/// pre-sized from the header's record count. Any framing, CRC or
+/// structural error returns `Err` — the same error
+/// [`CompactSource::from_bytes`] returns for the same bytes — and the
+/// partly built record buffer is dropped, so the whole file is verified
+/// before a [`TraceFile`] exists. The result equals materializing a
+/// [`CompactSource`] over the same bytes, header included.
 pub fn decode_trace(data: impl Into<Arc<Vec<u8>>>) -> Result<TraceFile, TraceError> {
-    let mut source = CompactSource::from_bytes(data)?;
-    crate::source::materialize(&mut source)
+    let source = CompactSource::open_unverified(data.into())?;
+    // The framing walk proved the block counts sum to `num_records`, but
+    // not yet that each block's payload can hold its count; a valid
+    // record costs several payload bytes, so the file length caps the
+    // pre-size of a crafted header.
+    let capacity = source.header.num_records.min(source.data.len() as u64) as usize;
+    let mut records = Vec::with_capacity(capacity);
+    source.decode_blocks(&mut records, true)?;
+    let header = source.header;
+    let mut trace = TraceFile::build(header.sample_file, header.num_processes, records)?;
+    trace.header.num_files = trace.header.num_files.max(header.num_files);
+    Ok(trace)
 }
 
 #[cfg(test)]
@@ -650,5 +685,26 @@ mod tests {
         assert_eq!(back.header.num_files, t.header.num_files);
         assert_eq!(back.header.num_processes, t.header.num_processes);
         assert_eq!(back.header.sample_file, t.header.sample_file);
+    }
+
+    #[test]
+    fn large_pid_dictionary_admits_in_linear_time() {
+        // One block whose dictionary holds 2^17 distinct pids. A
+        // linear duplicate scan costs ~d^2/2 = 8.6e9 comparisons here
+        // (over a second even in an optimized build); the keyed set
+        // admits it in milliseconds.
+        const PIDS: u32 = 1 << 17;
+        let records: Vec<TraceRecord> = (0..PIDS)
+            .map(|pid| TraceRecord { pid, ..TraceRecord::simple(IoOp::Read, 0, 0, 512) })
+            .collect();
+        let t = TraceFile::build("s.dat", PIDS, records).unwrap();
+        let bytes = encode_source_with_blocks(&mut SliceSource::new(&t), PIDS as usize).unwrap();
+        let started = std::time::Instant::now();
+        let src = CompactSource::from_bytes(bytes.clone()).unwrap();
+        let back = decode_trace(bytes).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(src.block_count(), 1);
+        assert_eq!(back.records, t.records);
+        assert!(elapsed < std::time::Duration::from_secs(1), "took {elapsed:?}");
     }
 }

@@ -10,6 +10,8 @@ use std::collections::HashMap;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
+use clio_cache::hash::KeyedState;
+
 use crate::error::TraceError;
 use crate::header::TraceHeader;
 use crate::reader::TraceFile;
@@ -48,11 +50,14 @@ fn encode_payload(records: &[TraceRecord], out: &mut Vec<u8>) {
     }
     // 2. Pid dictionary (first-appearance order) + index column; the
     //    index column vanishes for single-process blocks.
+    //    `slots` maps a pid to its dictionary index in O(1).
     let mut dict: Vec<u32> = Vec::new();
+    let mut slots: HashMap<u32, u64, KeyedState> = HashMap::default();
     for r in records {
-        if !dict.contains(&r.pid) {
+        slots.entry(r.pid).or_insert_with(|| {
             dict.push(r.pid);
-        }
+            dict.len() as u64 - 1
+        });
     }
     put_varint(out, dict.len() as u64);
     for &pid in &dict {
@@ -60,8 +65,7 @@ fn encode_payload(records: &[TraceRecord], out: &mut Vec<u8>) {
     }
     if dict.len() > 1 {
         for r in records {
-            let idx = dict.iter().position(|&p| p == r.pid).unwrap_or(0);
-            put_varint(out, idx as u64);
+            put_varint(out, slots[&r.pid]);
         }
     }
     // 3. File ids: zigzag deltas vs the previous record (first vs 0).
@@ -97,12 +101,11 @@ fn encode_payload(records: &[TraceRecord], out: &mut Vec<u8>) {
     //    record's own (pid, file) stream — the end of that stream's
     //    previous operation in this block, 0 on first sight — so
     //    sequential runs collapse to one byte per record.
-    let mut stream_pos: HashMap<(u32, u32), u64> = HashMap::new();
+    let mut stream_pos: HashMap<(u32, u32), u64, KeyedState> = HashMap::default();
     for r in records {
-        let key = (r.pid, r.file_id);
-        let predicted = stream_pos.get(&key).copied().unwrap_or(0);
-        put_varint(out, zigzag(delta64(predicted, r.offset)));
-        stream_pos.insert(key, r.offset.wrapping_add(r.length));
+        let predicted = stream_pos.entry((r.pid, r.file_id)).or_insert(0);
+        put_varint(out, zigzag(delta64(*predicted, r.offset)));
+        *predicted = r.offset.wrapping_add(r.length);
     }
 }
 
@@ -289,6 +292,7 @@ pub fn write_compact<S: TraceSource + ?Sized>(
 
 #[cfg(test)]
 mod tests {
+    use super::super::block::crc32;
     use super::*;
     use crate::record::IoOp;
     use crate::synth::{synthesize, TraceProfile};
@@ -349,5 +353,42 @@ mod tests {
         let meta = SourceMeta { sample_file: String::new(), num_processes: 1, num_files: 1 };
         let cursor = std::io::Cursor::new(Vec::new());
         assert!(CompactWriter::new(cursor, &meta).is_err());
+    }
+
+    #[test]
+    fn encodings_are_pinned_byte_for_byte() {
+        use crate::source::{materialize, InterleaveSource, ShareSource, SliceSource};
+        // One single-process profile, and four processes sharing one
+        // file (a share of two interleaves), so blocks carry a pid
+        // dictionary and several `(pid, file)` offset streams.
+        let single = synthesize(&TraceProfile {
+            data_ops: 6_000,
+            write_fraction: 0.3,
+            ..Default::default()
+        });
+        let procs: Vec<TraceFile> = (0..4u64)
+            .map(|seed| {
+                synthesize(&TraceProfile {
+                    seed,
+                    data_ops: 1_500,
+                    sequentiality: 0.5,
+                    ..Default::default()
+                })
+            })
+            .collect();
+        let slice = |i: usize| SliceSource::new(&procs[i]);
+        let mut mixed = ShareSource::new(
+            InterleaveSource::new(slice(0), slice(1)),
+            InterleaveSource::new(slice(2), slice(3)),
+        );
+        let multi = materialize(&mut mixed).unwrap();
+        assert_eq!(multi.header.num_processes, 4);
+        // Length and CRC32 of each whole container. The encoder's
+        // internal tables may change; the bytes it writes may not.
+        let pins = [(64_140usize, 0xcc69_3915u32), (93_736, 0x935b_5c16)];
+        for (trace, (len, crc)) in [single, multi].iter().zip(pins) {
+            let bytes = encode_trace(trace).unwrap();
+            assert_eq!((bytes.len(), crc32(&bytes)), (len, crc));
+        }
     }
 }

@@ -40,16 +40,33 @@
 //!
 //! ## Trust boundary
 //!
-//! [`CompactSource::from_bytes`] is admission-on-ingest: one pass over
-//! the untrusted buffer — framing walk, footer cross-check, per-block
-//! CRC and full structural decode — accepting the file or rejecting it
-//! with a coded [`TraceError`] naming the block that
-//! broke. Only after that pass does the source stream records, so
-//! nothing unverified ever reaches a replay engine.
+//! Every v2 buffer is untrusted. It is framed (prelude, block walk,
+//! footer cross-check, end marker), then every block is CRC-checked and
+//! fully structurally decoded, and any failure is a coded
+//! [`TraceError`] naming the block that broke. Nothing unverified ever
+//! reaches a replay engine. There are two admission entry points, and
+//! for the same bytes they accept or reject alike, with the same error:
+//!
+//! - **Streaming:** [`CompactSource::from_bytes`] (and [`open_path`])
+//!   verifies the whole file, discarding the decoded records, and then
+//!   re-decodes lazily, one block at a time, as records are pulled.
+//!   Memory stays O(block) however long the trace.
+//! - **One-pass:** [`decode_trace`] (and [`load_auto`]) CRC-checks and
+//!   decodes each block exactly once, appending its records straight
+//!   into the output. The whole file is verified before the
+//!   [`TraceFile`] is returned; on any error the partial records are
+//!   dropped.
+//!
+//! The tables the decoder builds from untrusted ids (the per-block pid
+//! dictionary check and the `(pid, file)` offset streams) hash with the
+//! per-table keyed [`clio_cache::hash::KeyedState`], whose tested flood
+//! bound covers these key shapes, so admission stays linear in the
+//! file size whatever dictionary a block declares.
 //!
 //! [`TraceRecord::ENCODED_LEN`]: crate::record::TraceRecord::ENCODED_LEN
 //! [`TraceSource`]: crate::source::TraceSource
 //! [`CompactSource::from_bytes`]: decode::CompactSource::from_bytes
+//! [`TraceFile`]: crate::reader::TraceFile
 
 pub mod block;
 pub mod decode;
@@ -93,7 +110,8 @@ pub fn is_compact(data: &[u8]) -> bool {
 }
 
 /// Loads a trace from `path` in either format, sniffing v1 vs v2 by
-/// magic, into an in-memory [`TraceFile`].
+/// magic, into an in-memory [`TraceFile`]. A v2 file goes through the
+/// one-pass admission of [`decode_trace`].
 pub fn load_auto(path: impl AsRef<Path>) -> Result<TraceFile, TraceError> {
     let data = std::fs::read(path)?;
     if is_compact(&data) {

@@ -56,6 +56,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use clio_cache::hash::KeyedState;
 use serde::{Deserialize, Serialize};
 
 use crate::record::{IoOp, TraceRecord};
@@ -334,10 +335,11 @@ pub struct Verifier {
     num_processes: u32,
     num_files: u32,
     /// Currently-open `(pid, file)` pairs, mapped to the index of the
-    /// `Open` that opened them (for `V06` reporting).
-    open: HashMap<(u32, u32), u64>,
+    /// `Open` that opened them (for `V06` reporting). Both tables are
+    /// keyed by untrusted ids, so they hash with the keyed hasher.
+    open: HashMap<(u32, u32), u64, KeyedState>,
     /// Last accepted wall-clock stamp per pid.
-    last_clock: HashMap<u32, u64>,
+    last_clock: HashMap<u32, u64, KeyedState>,
     index: u64,
 }
 
@@ -353,8 +355,8 @@ impl Verifier {
             options,
             num_processes: meta.num_processes,
             num_files: meta.num_files,
-            open: HashMap::new(),
-            last_clock: HashMap::new(),
+            open: HashMap::default(),
+            last_clock: HashMap::default(),
             index: 0,
         }
     }

@@ -23,7 +23,7 @@ use clio_core::trace::compact::{decode_trace, encode_trace, CompactSource, DEFAU
 use clio_core::trace::source::{SharedSource, TraceSource};
 use clio_core::trace::synth::{synthesize, TraceProfile};
 use clio_core::trace::verify::{verify_strict, VerifyOptions};
-use clio_core::trace::TraceFile;
+use clio_core::trace::{TraceError, TraceFile};
 
 /// Every built-in workload atom plus the combinators over them — the
 /// same list the verify smoke admits.
@@ -114,7 +114,10 @@ proptest! {
 /// The corrupt-block corpus: flip one byte at *every* position of a
 /// multi-block v2 file. Each flip must either fail decode with a coded
 /// error or decode to records that still pass strict verification —
-/// and must never panic.
+/// and must never panic. Both admission entry points see every flip:
+/// one-pass `decode_trace` must fail exactly when the streaming
+/// `CompactSource::from_bytes` does, with the same error, and otherwise
+/// return exactly the records the source streams.
 #[test]
 fn single_byte_flips_never_pass_unverified() {
     // A small trace in small blocks, so the corpus covers prelude,
@@ -131,19 +134,37 @@ fn single_byte_flips_never_pass_unverified() {
         for bit in [0x01u8, 0x80] {
             let mut corrupt = bytes.clone();
             corrupt[at] ^= bit;
+            let one_pass = decode_trace(corrupt.clone());
             match CompactSource::from_bytes(corrupt) {
-                Err(_) => rejected += 1, // coded rejection: the contract held
-                Ok(mut source) => {
+                Err(e) => {
+                    // Coded rejection: the contract held, on both paths.
+                    let one_pass = one_pass.err().map(|e| format!("{e:?}"));
+                    assert_eq!(
+                        one_pass,
+                        Some(format!("{e:?}")),
+                        "flip at byte {at} (bit {bit:#04x}): one-pass decode disagrees"
+                    );
+                    rejected += 1;
+                }
+                Ok(source) => {
                     // The flip survived admission (header cosmetics,
                     // roster growth, advisory fields): whatever streams
                     // out must still satisfy the verifier's full rule
-                    // table.
-                    verify_strict(&mut source, VerifyOptions::default()).unwrap_or_else(|e| {
-                        panic!(
-                            "flip at byte {at} (bit {bit:#04x}) admitted records that fail \
-                                strict verify: {e}"
-                        )
+                    // table, and one-pass decode must return exactly it.
+                    let mut streamed = source.reopened();
+                    let records: Vec<_> = std::iter::from_fn(|| streamed.next_record()).collect();
+                    let one_pass = one_pass.unwrap_or_else(|e| {
+                        panic!("flip at byte {at} (bit {bit:#04x}): only one-pass rejects: {e}")
                     });
+                    assert_eq!(one_pass.records, records, "flip at byte {at} (bit {bit:#04x})");
+                    verify_strict(&mut source.reopened(), VerifyOptions::default()).unwrap_or_else(
+                        |e| {
+                            panic!(
+                                "flip at byte {at} (bit {bit:#04x}) admitted records that fail \
+                                strict verify: {e}"
+                            )
+                        },
+                    );
                     admitted += 1;
                 }
             }
@@ -158,6 +179,33 @@ fn single_byte_flips_never_pass_unverified() {
         "CRC + structural checks reject the bulk: {rejected} vs {admitted}"
     );
     assert!(admitted > 0, "some flips (advisory fields) survive and must verify");
+}
+
+/// Only the *last* block is corrupt: one-pass decode has appended every
+/// earlier block's records by the time it reaches it, and must still
+/// return `Err` — never a partial trace.
+#[test]
+fn corrupt_last_block_yields_no_partial_trace() {
+    let trace = synthesize(&TraceProfile { data_ops: 200, ..Default::default() });
+    let mut src = clio_core::trace::source::SliceSource::new(&trace);
+    let bytes = clio_core::trace::compact::encode::encode_source_with_blocks(&mut src, 32).unwrap();
+    let source = CompactSource::from_bytes(bytes.clone()).unwrap();
+    let last = source.block_count() - 1;
+    assert!(last >= 2, "need a multi-block file");
+    // The last payload byte sits just before the index footer, whose
+    // offset the file's final twelve bytes record.
+    let tail = bytes.len() - 12;
+    let footer_at = u64::from_le_bytes(bytes[tail..tail + 8].try_into().unwrap()) as usize;
+    let mut corrupt = bytes;
+    corrupt[footer_at - 1] ^= 0x10;
+    assert!(matches!(
+        CompactSource::from_bytes(corrupt.clone()),
+        Err(TraceError::ChecksumMismatch { block, .. }) if block == last as u64
+    ));
+    assert!(matches!(
+        decode_trace(corrupt),
+        Err(TraceError::ChecksumMismatch { block, .. }) if block == last as u64
+    ));
 }
 
 #[test]
