@@ -65,28 +65,65 @@ impl Default for DiskModel {
     }
 }
 
-/// Splits a burst of `total_bytes` into per-disk chunk plans for a
-/// stripe over `disks` spindles with the given `stripe_unit`.
+/// How a burst splits over a stripe: each disk's `(chunks, tail)`
+/// share, in closed form.
 ///
-/// Returns, per participating disk, the number of chunks and the bytes
-/// of the final (possibly short) chunk. The caller turns these into
-/// service requests: the first chunk on each disk pays positioning, the
-/// rest stream sequentially.
-pub fn stripe_plan(total_bytes: u64, disks: usize, stripe_unit: u64) -> Vec<(u64, u64)> {
+/// A burst of `full` whole stripe units plus a short `tail` is dealt
+/// round-robin from disk 0, so disk `d` gets `full / n` units plus one
+/// more when `d < full % n`, and the tail lands on the next disk in
+/// rotation, `full % n`. The plan is four words: building it and asking
+/// for one disk's share are O(1), walking every share is O(disks), and
+/// nothing is allocated — however long the burst.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StripePlan {
+    disks: usize,
+    /// Whole stripe units every disk gets.
+    base: u64,
+    /// Disks `0..extra` get one more whole unit; disk `extra` gets the
+    /// tail.
+    extra: usize,
+    tail: u64,
+}
+
+impl StripePlan {
+    /// Number of disks in the stripe (participating or not).
+    pub(crate) fn disks(&self) -> usize {
+        self.disks
+    }
+
+    /// Disk `d`'s share: whole stripe units, then the bytes of its
+    /// final short chunk (0 when it has none).
+    fn share(&self, d: usize) -> (u64, u64) {
+        debug_assert!(d < self.disks, "disk {d} outside a {}-disk stripe", self.disks);
+        let chunks = self.base + u64::from(d < self.extra);
+        let tail = if d == self.extra { self.tail } else { 0 };
+        (chunks, tail)
+    }
+
+    /// Every disk's share, disk 0 first.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u64, u64)> + '_ {
+        (0..self.disks).map(|d| self.share(d))
+    }
+}
+
+/// Splits a burst of `total_bytes` over a stripe of `disks` spindles
+/// with the given `stripe_unit` (see [`StripePlan`]).
+///
+/// The caller turns each disk's share into a service request: the
+/// first chunk on each disk pays positioning, the rest stream
+/// sequentially.
+pub fn stripe_plan(total_bytes: u64, disks: usize, stripe_unit: u64) -> StripePlan {
     assert!(disks > 0, "stripe over zero disks");
     assert!(stripe_unit > 0, "zero stripe unit");
-    let full_chunks = total_bytes / stripe_unit;
-    let tail = total_bytes % stripe_unit;
-    let mut per_disk: Vec<(u64, u64)> = vec![(0, 0); disks];
-    for i in 0..full_chunks {
-        let d = (i % disks as u64) as usize;
-        per_disk[d].0 += 1;
+    let full = total_bytes / stripe_unit;
+    let n = disks as u64;
+    StripePlan {
+        disks,
+        base: full / n,
+        // `full % n < disks`, so the cast is lossless.
+        extra: (full % n) as usize,
+        tail: total_bytes % stripe_unit,
     }
-    if tail > 0 {
-        let d = (full_chunks % disks as u64) as usize;
-        per_disk[d].1 = tail;
-    }
-    per_disk
 }
 
 /// Service time for one disk's share of a striped burst: positioning
@@ -145,9 +182,10 @@ mod tests {
     #[test]
     fn stripe_plan_tail_lands_after_full_chunks() {
         let plan = stripe_plan(2 * 64 + 10, 4, 64);
-        assert_eq!(plan[0].0, 1);
-        assert_eq!(plan[1].0, 1);
-        assert_eq!(plan[2], (0, 10), "tail goes to the next disk in rotation");
+        assert_eq!(plan.share(0), (1, 0));
+        assert_eq!(plan.share(1), (1, 0));
+        assert_eq!(plan.share(2), (0, 10), "tail goes to the next disk in rotation");
+        assert_eq!(plan.share(3), (0, 0));
     }
 
     #[test]
@@ -159,8 +197,8 @@ mod tests {
     #[test]
     fn single_disk_stripe_is_whole_burst() {
         let plan = stripe_plan(1000, 1, 64);
-        assert_eq!(plan.len(), 1);
-        assert_eq!(plan[0], (15, 40));
+        assert_eq!(plan.disks(), 1);
+        assert_eq!(plan.share(0), (15, 40));
     }
 
     proptest! {
@@ -168,7 +206,7 @@ mod tests {
         fn stripe_conserves_bytes(total in 0u64..10_000_000, disks in 1usize..33,
                                   unit in 1u64..1_000_000) {
             let plan = stripe_plan(total, disks, unit);
-            let sum: u64 = plan.iter().map(|&(c, t)| c * unit + t).sum();
+            let sum: u64 = plan.iter().map(|(c, t)| c * unit + t).sum();
             prop_assert_eq!(sum, total);
         }
 
@@ -185,9 +223,37 @@ mod tests {
         fn more_disks_never_increase_per_disk_load(total in 1u64..10_000_000, unit in 1u64..100_000) {
             let p4 = stripe_plan(total, 4, unit);
             let p8 = stripe_plan(total, 8, unit);
-            let max4 = p4.iter().map(|&(c, t)| c * unit + t).max().unwrap();
-            let max8 = p8.iter().map(|&(c, t)| c * unit + t).max().unwrap();
+            let max4 = p4.iter().map(|(c, t)| c * unit + t).max().unwrap();
+            let max8 = p8.iter().map(|(c, t)| c * unit + t).max().unwrap();
             prop_assert!(max8 <= max4);
         }
+
+        #[test]
+        fn closed_form_plan_matches_per_chunk_dealing(total in 0u64..(1 << 24),
+                                                      disks in 1usize..17,
+                                                      unit in 1u64..4097) {
+            // The oracle: deal every whole unit round-robin, one at a
+            // time, then hand the tail to the next disk in rotation.
+            let mut dealt = vec![(0u64, 0u64); disks];
+            let full = total / unit;
+            for i in 0..full {
+                dealt[(i % disks as u64) as usize].0 += 1;
+            }
+            if total % unit > 0 {
+                dealt[(full % disks as u64) as usize].1 = total % unit;
+            }
+            let plan = stripe_plan(total, disks, unit);
+            prop_assert_eq!(plan.iter().collect::<Vec<_>>(), dealt);
+        }
+    }
+
+    #[test]
+    fn huge_bursts_plan_exactly() {
+        let plan = stripe_plan(1 << 62, 4, 64 * 1024);
+        let units = (1u64 << 62) / (64 * 1024);
+        assert!(plan.iter().all(|(c, t)| c == units / 4 && t == 0));
+        let plan = stripe_plan(u64::MAX, 3, 7);
+        let sum: u128 = plan.iter().map(|(c, t)| u128::from(c) * 7 + u128::from(t)).sum();
+        assert_eq!(sum, u128::from(u64::MAX));
     }
 }

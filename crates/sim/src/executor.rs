@@ -123,6 +123,8 @@ struct World {
     programs: Vec<ProgState>,
 }
 
+/// The burst a program starts next; events are `(program, Step)`.
+#[derive(Clone, Copy)]
 enum Step {
     Io,
     Cpu,
@@ -162,11 +164,14 @@ pub fn simulate(app: &Application, machine: &MachineConfig) -> SimReport {
         programs,
     };
 
-    let mut engine: Engine<World> = Engine::new();
+    let mut engine = Engine::new();
     for idx in 0..world.programs.len() {
-        engine.schedule_at(SimTime::ZERO, move |eng, w| begin_step(eng, w, idx, Step::Io));
+        engine.schedule_at(SimTime::ZERO, (idx, Step::Io));
     }
-    let end = engine.run(&mut world);
+    while let Some((idx, step)) = engine.pop() {
+        begin_step(&mut engine, &mut world, idx, step);
+    }
+    let end = engine.now();
 
     let makespan = world.programs.iter().map(|p| p.report.finish.seconds()).fold(0.0, f64::max);
     let disk_utilization = if world.disks.is_empty() {
@@ -186,7 +191,7 @@ pub fn simulate(app: &Application, machine: &MachineConfig) -> SimReport {
 
 /// Starts the given burst of the current phase of program `idx`; when
 /// the burst completes, chains to the next burst or phase.
-fn begin_step(engine: &mut Engine<World>, world: &mut World, idx: usize, step: Step) {
+fn begin_step(engine: &mut Engine<(usize, Step)>, world: &mut World, idx: usize, step: Step) {
     let now = engine.now();
     let phase_idx = world.programs[idx].next_phase;
     if phase_idx >= world.programs[idx].phases.len() {
@@ -199,18 +204,18 @@ fn begin_step(engine: &mut Engine<World>, world: &mut World, idx: usize, step: S
         Step::Io => {
             let completion = issue_io_burst(world, idx, now, phase.disk);
             world.programs[idx].report.io_time += completion - now;
-            engine.schedule_at(completion, move |eng, w| begin_step(eng, w, idx, Step::Cpu));
+            engine.schedule_at(completion, (idx, Step::Cpu));
         }
         Step::Cpu => {
             let completion = issue_cpu_burst(world, now, phase.cpu);
             world.programs[idx].report.cpu_time += completion - now;
-            engine.schedule_at(completion, move |eng, w| begin_step(eng, w, idx, Step::Comm));
+            engine.schedule_at(completion, (idx, Step::Comm));
         }
         Step::Comm => {
             let completion = issue_comm_burst(world, now, phase.comm);
             world.programs[idx].report.comm_time += completion - now;
             world.programs[idx].next_phase += 1;
-            engine.schedule_at(completion, move |eng, w| begin_step(eng, w, idx, Step::Io));
+            engine.schedule_at(completion, (idx, Step::Io));
         }
     }
 }
@@ -228,7 +233,7 @@ fn issue_io_burst(world: &mut World, idx: usize, now: SimTime, burst: f64) -> Si
     let plan = stripe_plan(bytes, world.disks.len(), cfg.stripe_unit);
     let rotation = world.programs[idx].stripe_rotation;
     let mut completion = now;
-    for (i, &(chunks, tail)) in plan.iter().enumerate() {
+    for (i, (chunks, tail)) in plan.iter().enumerate() {
         let service = striped_service(&cfg.disk_model, cfg.stripe_unit, chunks, tail);
         if service <= 0.0 {
             continue;

@@ -7,7 +7,7 @@
 //! simulator:
 //!
 //! - [`time`] — simulated clock ([`SimTime`]),
-//! - [`engine`] — the event queue and scheduler ([`Engine`]),
+//! - [`engine`] — the typed-event queue each simulator drives ([`Engine`]),
 //! - [`resource`] — FCFS multi-server resources ([`FcfsServer`]),
 //! - [`disk`] — a seek/rotation/transfer disk service model and striped
 //!   disk arrays,

@@ -30,6 +30,9 @@
 //! assert_eq!(order[0].cylinder, 37, "SSTF serves the nearest request first");
 //! ```
 
+use std::cmp::Reverse;
+use std::collections::VecDeque;
+
 use crate::disk::DiskModel;
 
 /// One pending request at the device.
@@ -81,31 +84,27 @@ enum Direction {
 /// An incremental disk-request scheduler.
 ///
 /// Requests may be pushed at any time; [`Scheduler::next`] pops the one
-/// the policy would serve now and moves the head there. Determinism:
-/// cylinder ties are broken toward the lower cylinder, then the earlier
-/// arrival.
+/// the policy would serve now and moves the head there. The pending
+/// requests sit in one queue **in arrival order**, so FCFS pops the
+/// front and the other policies break ties by queue index, which is
+/// arrival order. Determinism: cylinder ties are broken toward the
+/// lower cylinder, then the earlier arrival.
+///
+/// SSTF, SCAN and C-LOOK scan every pending request for each pick, so
+/// a pick costs O(queue depth).
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     policy: Policy,
     head: u64,
     direction: Direction,
-    pending: Vec<DiskRequest>,
-    /// Monotone arrival stamp for FCFS order and tie-breaking.
-    arrivals: Vec<u64>,
-    next_arrival: u64,
+    /// Pending requests, oldest first.
+    pending: VecDeque<DiskRequest>,
 }
 
 impl Scheduler {
     /// Creates a scheduler with the head parked at `head`.
     pub fn new(policy: Policy, head: u64) -> Self {
-        Self {
-            policy,
-            head,
-            direction: Direction::Up,
-            pending: Vec::new(),
-            arrivals: Vec::new(),
-            next_arrival: 0,
-        }
+        Self { policy, head, direction: Direction::Up, pending: VecDeque::new() }
     }
 
     /// Current head cylinder.
@@ -125,9 +124,7 @@ impl Scheduler {
 
     /// Adds a request to the pending set.
     pub fn push(&mut self, req: DiskRequest) {
-        self.pending.push(req);
-        self.arrivals.push(self.next_arrival);
-        self.next_arrival += 1;
+        self.pending.push_back(req);
     }
 
     /// Pops the next request per the policy and moves the head to it.
@@ -141,13 +138,14 @@ impl Scheduler {
             return None;
         }
         let idx = match self.policy {
-            Policy::Fcfs => self.pick_fcfs(),
+            Policy::Fcfs => 0,
             Policy::Sstf => self.pick_sstf(),
             Policy::Scan => self.pick_scan(),
             Policy::CLook => self.pick_clook(),
         };
-        let req = self.pending.swap_remove(idx);
-        self.arrivals.swap_remove(idx);
+        // Removing the front (FCFS) is O(1); elsewhere the shift is no
+        // dearer than the scan that picked `idx`.
+        let req = self.pending.remove(idx)?;
         self.head = req.cylinder;
         Some(req)
     }
@@ -166,20 +164,11 @@ impl Scheduler {
         out
     }
 
-    fn pick_fcfs(&self) -> usize {
-        self.arrivals
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &a)| a)
-            .map(|(i, _)| i)
-            .expect("pending is non-empty")
-    }
-
     fn pick_sstf(&self) -> usize {
         self.pending
             .iter()
             .enumerate()
-            .min_by_key(|&(i, r)| (r.cylinder.abs_diff(self.head), r.cylinder, self.arrivals[i]))
+            .min_by_key(|&(i, r)| (r.cylinder.abs_diff(self.head), r.cylinder, i))
             .map(|(i, _)| i)
             .expect("pending is non-empty")
     }
@@ -191,7 +180,7 @@ impl Scheduler {
             .iter()
             .enumerate()
             .filter(|&(_, r)| r.cylinder >= self.head)
-            .min_by_key(|&(i, r)| (r.cylinder, self.arrivals[i]))
+            .min_by_key(|&(i, r)| (r.cylinder, i))
             .map(|(i, _)| i)
     }
 
@@ -200,7 +189,7 @@ impl Scheduler {
             .iter()
             .enumerate()
             .filter(|&(_, r)| r.cylinder <= self.head)
-            .max_by_key(|&(i, r)| (r.cylinder, u64::MAX - self.arrivals[i]))
+            .max_by_key(|&(i, r)| (r.cylinder, Reverse(i)))
             .map(|(i, _)| i)
     }
 
@@ -232,7 +221,7 @@ impl Scheduler {
             self.pending
                 .iter()
                 .enumerate()
-                .min_by_key(|&(i, r)| (r.cylinder, self.arrivals[i]))
+                .min_by_key(|&(i, r)| (r.cylinder, i))
                 .map(|(i, _)| i)
                 .expect("pending is non-empty")
         })

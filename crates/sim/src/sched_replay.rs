@@ -124,10 +124,17 @@ impl DiskFaultPlan {
 /// Fixed host cost (seconds) of open/close/seek records.
 const METADATA_COST: f64 = 20e-6;
 
-struct ProcState {
-    /// The pid whose stream this process consumes.
-    pid: u32,
-    finish: SimTime,
+/// What the scheduled replay's event queue carries.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// The process at this index (also its splitter slot) issues its
+    /// next record.
+    Step(usize),
+    /// `disk` finished serving a chunk of transfer `tid`.
+    ChunkDone { disk: usize, tid: usize },
+    /// `disk` finished a failed attempt and its back-off; the request
+    /// to retry is parked in [`DiskState::retry`].
+    DiskFree { disk: usize },
 }
 
 struct Transfer {
@@ -142,8 +149,10 @@ struct DiskState {
     /// Requests this disk has started serving (drives the
     /// `error_every` fault schedule).
     started: u64,
-    /// A request whose first attempt failed, waiting out its back-off;
-    /// served before anything queued.
+    /// A request whose attempt failed, with the attempt number of its
+    /// retry; served before anything queued. It is parked when the
+    /// failure is scheduled, which is safe because the disk stays busy
+    /// (and [`start_if_idle`] ignores it) until its `DiskFree` fires.
     retry: Option<(DiskRequest, u32)>,
 }
 
@@ -152,7 +161,8 @@ struct World<'s> {
     curve: SeekCurve,
     bytes_per_cylinder: u64,
     disks: Vec<DiskState>,
-    procs: Vec<ProcState>,
+    /// Finish time of each process, by index.
+    finish: Vec<SimTime>,
     transfers: Vec<Transfer>,
     /// Completed transfer slots, reusable by the next `issue_io` — the
     /// transfer table stays O(max in-flight transfers), not
@@ -218,7 +228,7 @@ where
                 retry: None,
             })
             .collect(),
-        procs: pids.iter().map(|&pid| ProcState { pid, finish: SimTime::ZERO }).collect(),
+        finish: vec![SimTime::ZERO; pids.len()],
         transfers: Vec::new(),
         free_transfers: Vec::new(),
         bytes_moved: 0,
@@ -226,14 +236,28 @@ where
         retries: 0,
         dropped: 0,
         cfg: machine.clone(),
-        splitter: PidSplitter::new(open()),
+        splitter: PidSplitter::with_roster(open(), &pids),
     };
 
-    let mut engine: Engine<World<'s>> = Engine::new();
-    for p in 0..world.procs.len() {
-        engine.schedule_at(SimTime::ZERO, move |eng, w| step(eng, w, p));
+    let mut engine = Engine::new();
+    for p in 0..world.finish.len() {
+        engine.schedule_at(SimTime::ZERO, Event::Step(p));
     }
-    let end = engine.run(&mut world);
+    while let Some(event) = engine.pop() {
+        match event {
+            Event::Step(p) => step(&mut engine, &mut world, p),
+            Event::ChunkDone { disk, tid } => {
+                world.disks[disk].busy = false;
+                complete_chunk(&mut engine, &mut world, tid);
+                start_if_idle(&mut engine, &mut world, disk);
+            }
+            Event::DiskFree { disk } => {
+                world.disks[disk].busy = false;
+                start_if_idle(&mut engine, &mut world, disk);
+            }
+        }
+    }
+    let end = engine.now();
 
     let disk_utilization = if world.disks.is_empty() || end.seconds() <= 0.0 {
         0.0
@@ -243,8 +267,8 @@ where
     };
 
     TraceSimReport {
-        makespan: world.procs.iter().map(|p| p.finish.seconds()).fold(0.0, f64::max),
-        process_finish: world.procs.iter().map(|p| p.finish.seconds()).collect(),
+        makespan: world.finish.iter().map(|f| f.seconds()).fold(0.0, f64::max),
+        process_finish: world.finish.iter().map(|f| f.seconds()).collect(),
         pids,
         bytes_moved: world.bytes_moved,
         disk_utilization,
@@ -255,26 +279,23 @@ where
     }
 }
 
-fn step<'s>(engine: &mut Engine<World<'s>>, world: &mut World<'s>, proc_idx: usize) {
+fn step(engine: &mut Engine<Event>, world: &mut World<'_>, proc_idx: usize) {
     let now = engine.now();
-    let pid = world.procs[proc_idx].pid;
-    let Some(r) = world.splitter.next_for(pid) else {
-        world.procs[proc_idx].finish = now;
+    let Some(r) = world.splitter.next_for_slot(proc_idx) else {
+        world.finish[proc_idx] = now;
         return;
     };
 
     let repeats = r.num_records.max(1) as u64;
     match r.op {
         IoOp::Open | IoOp::Close | IoOp::Seek => {
-            engine.schedule_at(now + METADATA_COST * repeats as f64, move |eng, w| {
-                step(eng, w, proc_idx)
-            });
+            engine.schedule_at(now + METADATA_COST * repeats as f64, Event::Step(proc_idx));
         }
         IoOp::Read | IoOp::Write => {
             let bytes = r.length.saturating_mul(repeats);
             world.bytes_moved += bytes;
             if bytes == 0 {
-                engine.schedule_at(now + METADATA_COST, move |eng, w| step(eng, w, proc_idx));
+                engine.schedule_at(now + METADATA_COST, Event::Step(proc_idx));
                 return;
             }
             issue_io(engine, world, proc_idx, r.offset, bytes);
@@ -284,26 +305,20 @@ fn step<'s>(engine: &mut Engine<World<'s>>, world: &mut World<'s>, proc_idx: usi
 
 /// Splits the transfer across the stripe and enqueues one request per
 /// participating disk; the process resumes when the last chunk lands.
-fn issue_io<'s>(
-    engine: &mut Engine<World<'s>>,
-    world: &mut World<'s>,
+fn issue_io(
+    engine: &mut Engine<Event>,
+    world: &mut World<'_>,
     proc_idx: usize,
     offset: u64,
     bytes: u64,
 ) {
-    let n_disks = world.disks.len();
-    let plan = stripe_plan(bytes, n_disks, world.cfg.stripe_unit);
-    let participating: Vec<(usize, u64)> = plan
-        .iter()
-        .enumerate()
-        .filter_map(|(d, &(chunks, tail))| {
-            let b = chunks * world.cfg.stripe_unit + tail;
-            (b > 0).then_some((d, b))
-        })
-        .collect();
+    let unit = world.cfg.stripe_unit;
+    let plan = stripe_plan(bytes, world.disks.len(), unit);
+    let share_bytes = |(chunks, tail): (u64, u64)| chunks * unit + tail;
+    let participating = plan.iter().filter(|&share| share_bytes(share) > 0).count();
     // Reuse a completed slot when one exists: a completed transfer has
     // fired all of its chunk completions, so nothing references it.
-    let transfer = Transfer { remaining: participating.len(), proc_idx };
+    let transfer = Transfer { remaining: participating, proc_idx };
     let tid = match world.free_transfers.pop() {
         Some(tid) => {
             world.transfers[tid] = transfer;
@@ -317,30 +332,33 @@ fn issue_io<'s>(
 
     // Head position target: each disk stores its share of the logical
     // space, so the per-disk offset shrinks by the member count.
-    let per_disk_offset = offset / n_disks.max(1) as u64;
+    let per_disk_offset = offset / plan.disks() as u64;
     let cylinder = (per_disk_offset / world.bytes_per_cylinder) % world.curve.cylinders;
 
-    for (d, b) in participating {
-        world.disks[d].sched.push(DiskRequest { id: tid, cylinder, bytes: b });
-        start_if_idle(engine, world, d);
+    for (d, share) in plan.iter().enumerate() {
+        let b = share_bytes(share);
+        if b > 0 {
+            world.disks[d].sched.push(DiskRequest { id: tid, cylinder, bytes: b });
+            start_if_idle(engine, world, d);
+        }
     }
 }
 
-fn start_if_idle<'s>(engine: &mut Engine<World<'s>>, world: &mut World<'s>, disk_idx: usize) {
-    if world.disks[disk_idx].busy {
+fn start_if_idle(engine: &mut Engine<Event>, world: &mut World<'_>, disk: usize) {
+    if world.disks[disk].busy {
         return;
     }
-    let head_before = world.disks[disk_idx].sched.head();
+    let head_before = world.disks[disk].sched.head();
     // A request waiting out its retry back-off goes first (its head
     // position is wherever the failed attempt left it); otherwise ask
     // the scheduler for the next queued request.
-    let (req, attempt) = match world.disks[disk_idx].retry.take() {
+    let (req, attempt) = match world.disks[disk].retry.take() {
         Some((req, attempt)) => (req, attempt),
         None => {
-            let Some(req) = world.disks[disk_idx].sched.next() else {
+            let Some(req) = world.disks[disk].sched.next() else {
                 return;
             };
-            world.disks[disk_idx].started += 1;
+            world.disks[disk].started += 1;
             (req, 0)
         }
     };
@@ -352,57 +370,43 @@ fn start_if_idle<'s>(engine: &mut Engine<World<'s>>, world: &mut World<'s>, disk
         + world.cfg.disk_model.rotational
         + world.cfg.disk_model.transfer(req.bytes))
         * world.faults.multiplier_at(engine.now().seconds());
-    world.disks[disk_idx].busy = true;
-    world.disks[disk_idx].busy_time += service;
+    world.disks[disk].busy = true;
+    world.disks[disk].busy_time += service;
 
     // Transient error: every `error_every`-th request started on this
     // disk fails its first attempt after consuming its service time
     // (the firmware tried and gave up).
     let failed = attempt == 0
         && world.faults.error_every > 0
-        && world.disks[disk_idx].started % world.faults.error_every == 0;
+        && world.disks[disk].started % world.faults.error_every == 0;
     let tid = req.id as usize;
-    if failed {
-        if world.faults.max_retries == 0 {
-            // No retry budget: drop the request gracefully — count it
-            // and let the transfer complete so the process resumes.
-            world.dropped += 1;
-            engine.schedule_in(service, move |eng, w| {
-                w.disks[disk_idx].busy = false;
-                complete_chunk(eng, w, tid);
-                start_if_idle(eng, w, disk_idx);
-            });
-        } else {
-            // Bounded retry: hold the disk busy through the back-off,
-            // then re-serve the same request (attempt 1 succeeds —
-            // the error is transient).
-            world.retries += 1;
-            let backoff = world.faults.retry_backoff_s.max(0.0);
-            engine.schedule_in(service + backoff, move |eng, w| {
-                w.disks[disk_idx].busy = false;
-                w.disks[disk_idx].retry = Some((req, attempt + 1));
-                start_if_idle(eng, w, disk_idx);
-            });
-        }
+    if failed && world.faults.max_retries > 0 {
+        // Bounded retry: hold the disk busy through the back-off, then
+        // re-serve the same request (attempt 1 succeeds — the error is
+        // transient).
+        world.retries += 1;
+        world.disks[disk].retry = Some((req, attempt + 1));
+        let backoff = world.faults.retry_backoff_s.max(0.0);
+        engine.schedule_in(service + backoff, Event::DiskFree { disk });
         return;
     }
-
-    engine.schedule_in(service, move |eng, w| {
-        w.disks[disk_idx].busy = false;
-        complete_chunk(eng, w, tid);
-        start_if_idle(eng, w, disk_idx);
-    });
+    if failed {
+        // No retry budget: drop the request gracefully — count it and
+        // let the transfer complete so the process resumes.
+        world.dropped += 1;
+    }
+    engine.schedule_in(service, Event::ChunkDone { disk, tid });
 }
 
 /// One striped chunk of transfer `tid` landed; when the last one does,
 /// the owning process resumes and the slot is recycled.
-fn complete_chunk<'s>(engine: &mut Engine<World<'s>>, world: &mut World<'s>, tid: usize) {
+fn complete_chunk(engine: &mut Engine<Event>, world: &mut World<'_>, tid: usize) {
     world.transfers[tid].remaining -= 1;
     if world.transfers[tid].remaining == 0 {
         let proc_idx = world.transfers[tid].proc_idx;
         world.free_transfers.push(tid);
         let now = engine.now();
-        engine.schedule_at(now, move |eng, w| step(eng, w, proc_idx));
+        engine.schedule_at(now, Event::Step(proc_idx));
     }
 }
 

@@ -82,9 +82,9 @@ pub struct TraceSimReport {
 /// simulated machine — metadata operations that never touch the array.
 const METADATA_COST: f64 = 20e-6;
 
+/// One simulated process; its index is its slot in the splitter's
+/// roster.
 struct ProcState {
-    /// The pid whose stream this process consumes.
-    pid: u32,
     stripe_rotation: usize,
     finish: SimTime,
     /// Wall clock of the previously issued record (for think time).
@@ -147,23 +147,21 @@ where
         cfg: machine.clone(),
         procs: pids
             .iter()
-            .map(|&pid| ProcState {
-                pid,
-                stripe_rotation: 0,
-                finish: SimTime::ZERO,
-                prev_wall_us: None,
-            })
+            .map(|_| ProcState { stripe_rotation: 0, finish: SimTime::ZERO, prev_wall_us: None })
             .collect(),
         bytes_moved: 0,
-        splitter: PidSplitter::new(open()),
+        splitter: PidSplitter::with_roster(open(), &pids),
     };
 
-    let think = options.think_time;
-    let mut engine: Engine<World<'s>> = Engine::new();
+    // Every event is one process's next step, named by its index.
+    let mut engine = Engine::new();
     for p in 0..world.procs.len() {
-        engine.schedule_at(SimTime::ZERO, move |eng, w| step(eng, w, p, think));
+        engine.schedule_at(SimTime::ZERO, p);
     }
-    let end = engine.run(&mut world);
+    while let Some(p) = engine.pop() {
+        step(&mut engine, &mut world, p, options.think_time);
+    }
+    let end = engine.now();
 
     let disk_utilization = if world.disks.is_empty() {
         0.0
@@ -184,15 +182,9 @@ where
     }
 }
 
-fn step<'s>(
-    engine: &mut Engine<World<'s>>,
-    world: &mut World<'s>,
-    proc_idx: usize,
-    think: ThinkTime,
-) {
+fn step(engine: &mut Engine<usize>, world: &mut World<'_>, proc_idx: usize, think: ThinkTime) {
     let now = engine.now();
-    let pid = world.procs[proc_idx].pid;
-    let Some(r) = world.splitter.next_for(pid) else {
+    let Some(r) = world.splitter.next_for_slot(proc_idx) else {
         world.procs[proc_idx].finish = now;
         return;
     };
@@ -217,7 +209,7 @@ fn step<'s>(
         }
     };
 
-    engine.schedule_at(completion, move |eng, w| step(eng, w, proc_idx, think));
+    engine.schedule_at(completion, proc_idx);
 }
 
 /// Issues a striped transfer; returns its completion time.
@@ -229,7 +221,7 @@ fn issue_io(world: &mut World<'_>, proc_idx: usize, at: SimTime, bytes: u64) -> 
     let plan = stripe_plan(bytes, world.disks.len(), cfg.stripe_unit);
     let rotation = world.procs[proc_idx].stripe_rotation;
     let mut completion = at;
-    for (i, &(chunks, tail)) in plan.iter().enumerate() {
+    for (i, (chunks, tail)) in plan.iter().enumerate() {
         let service = striped_service(&cfg.disk_model, cfg.stripe_unit, chunks, tail);
         if service <= 0.0 {
             continue;
@@ -258,12 +250,12 @@ pub struct SimJob<'a> {
 /// threads fed through crossbeam channels.
 ///
 /// Each job is a complete, isolated [`trace_sim`] run (the
-/// discrete-event engine itself stays single-threaded per job — its
-/// event callbacks hold `Rc` handles), so this is the scale-out axis
-/// for parameter sweeps: many machines, many policies, many traces at
-/// once. Results come back in job order and are identical to running
-/// the jobs serially, whatever the thread count — the determinism test
-/// in `tests/suite_determinism.rs` pins that.
+/// discrete-event engine itself stays single-threaded per job), so
+/// this is the scale-out axis for parameter sweeps: many machines,
+/// many policies, many traces at once. Results come back in job order
+/// and are identical to running the jobs serially, whatever the thread
+/// count — the determinism test in `tests/suite_determinism.rs` pins
+/// that.
 pub fn trace_sim_pool(jobs: &[SimJob<'_>], threads: usize) -> Vec<TraceSimReport> {
     if jobs.is_empty() {
         return Vec::new();

@@ -41,7 +41,10 @@
 //! pages* — the page-sharing scenario the disjoint merges cannot
 //! express. Captured clocks pass through untouched.
 
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
+
+use clio_cache::hash::KeyedState;
 
 use crate::error::TraceError;
 use crate::reader::TraceFile;
@@ -487,13 +490,22 @@ impl<A: TraceSource, B: TraceSource> TraceSource for ShareSource<A, B> {
 /// length. For the round-robin interleavings the trace writer and the
 /// mix combinators emit, that is O(#pids). [`PidSplitter::peak_buffered`]
 /// reports the high-water mark so tests can pin the invariant.
+///
+/// Each pid owns a *slot*. Slots are numbered in first-appearance
+/// order, or in roster order when the roster is known up front
+/// ([`PidSplitter::with_roster`], fed by [`scan_pids`]); a caller that
+/// asks by slot ([`PidSplitter::next_for_slot`]) pays a pid lookup only
+/// for the records it parks. The pid→slot map hashes with the keyed
+/// hasher, so a hostile pid roster costs O(1) per lookup.
 #[derive(Debug)]
 pub struct PidSplitter<S> {
     source: S,
-    /// Parked records, per pid slot (first-appearance order).
-    buffers: Vec<std::collections::VecDeque<TraceRecord>>,
-    /// Slot -> pid, in first-appearance order.
+    /// Parked records, per slot.
+    buffers: Vec<VecDeque<TraceRecord>>,
+    /// Slot -> pid.
     pids: Vec<u32>,
+    /// Pid -> slot.
+    slots: HashMap<u32, usize, KeyedState>,
     source_done: bool,
     buffered: usize,
     peak_buffered: usize,
@@ -506,22 +518,31 @@ impl<S: TraceSource> PidSplitter<S> {
             source,
             buffers: Vec::new(),
             pids: Vec::new(),
+            slots: HashMap::default(),
             source_done: false,
             buffered: 0,
             peak_buffered: 0,
         }
     }
 
+    /// Wraps `source` with its process roster known up front: `pids[i]`
+    /// owns slot `i`. A pid missing from the roster still gets a slot,
+    /// after the roster's, when it first appears.
+    pub fn with_roster(source: S, pids: &[u32]) -> Self {
+        let mut splitter = Self::new(source);
+        for &pid in pids {
+            splitter.slot_of(pid);
+        }
+        splitter
+    }
+
     /// Slot of `pid`, registering it on first sight.
     fn slot_of(&mut self, pid: u32) -> usize {
-        match self.pids.iter().position(|&p| p == pid) {
-            Some(slot) => slot,
-            None => {
-                self.pids.push(pid);
-                self.buffers.push(std::collections::VecDeque::new());
-                self.pids.len() - 1
-            }
-        }
+        *self.slots.entry(pid).or_insert_with(|| {
+            self.pids.push(pid);
+            self.buffers.push(VecDeque::new());
+            self.pids.len() - 1
+        })
     }
 
     /// The next record of `pid` in capture order, or `None` once that
@@ -529,10 +550,19 @@ impl<S: TraceSource> PidSplitter<S> {
     /// way are parked for their own streams.
     pub fn next_for(&mut self, pid: u32) -> Option<TraceRecord> {
         let slot = self.slot_of(pid);
+        self.next_for_slot(slot)
+    }
+
+    /// [`PidSplitter::next_for`] for the pid that owns `slot`.
+    ///
+    /// # Panics
+    /// Panics if no pid owns `slot` yet.
+    pub fn next_for_slot(&mut self, slot: usize) -> Option<TraceRecord> {
         if let Some(r) = self.buffers[slot].pop_front() {
             self.buffered -= 1;
             return Some(r);
         }
+        let pid = self.pids[slot];
         while !self.source_done {
             match self.source.next_record() {
                 None => self.source_done = true,
@@ -548,7 +578,7 @@ impl<S: TraceSource> PidSplitter<S> {
         None
     }
 
-    /// The pids seen so far, in first-appearance order.
+    /// The pids that own a slot, in slot order.
     pub fn pids_seen(&self) -> &[u32] {
         &self.pids
     }
@@ -569,13 +599,16 @@ impl<S: TraceSource> PidSplitter<S> {
 /// with the pids in first-appearance order — the cheap O(#pids)-memory
 /// discovery pass the pid-grouping simulators run before replaying a
 /// re-openable workload (process order, and therefore event tie-break
-/// order, must match the materialized path exactly).
+/// order, must match the materialized path exactly). Pids are
+/// deduplicated through a keyed hash set, so the pass is linear in the
+/// stream whatever the roster size.
 pub fn scan_pids<S: TraceSource + ?Sized>(source: &mut S) -> (Vec<u32>, u64) {
     let mut pids: Vec<u32> = Vec::new();
+    let mut seen: HashSet<u32, KeyedState> = HashSet::default();
     let mut count = 0u64;
     while let Some(r) = source.next_record() {
         count += 1;
-        if !pids.contains(&r.pid) {
+        if seen.insert(r.pid) {
             pids.push(r.pid);
         }
     }
@@ -757,6 +790,28 @@ mod tests {
         }
         assert_eq!(split.pids_seen(), &[0, 1, 2]);
         assert_eq!(split.buffered(), 0, "everything handed out");
+    }
+
+    #[test]
+    fn roster_slots_serve_the_same_streams_as_pids() {
+        // Slots follow the roster order, not first appearance; asking
+        // by slot yields exactly what asking by pid does.
+        let t = round_robin(3, 4);
+        let roster = [2, 0, 1];
+        let mut by_slot = PidSplitter::with_roster(SliceSource::new(&t), &roster);
+        let mut by_pid = PidSplitter::new(SliceSource::new(&t));
+        assert_eq!(by_slot.pids_seen(), &roster);
+        for _ in 0..5 {
+            for (slot, &pid) in roster.iter().enumerate() {
+                assert_eq!(by_slot.next_for_slot(slot), by_pid.next_for(pid));
+            }
+        }
+        assert_eq!(by_slot.next_for(0), None);
+        assert_eq!(by_slot.peak_buffered(), by_pid.peak_buffered());
+        // A pid outside the roster still gets its own slot, after it.
+        let mut late = PidSplitter::with_roster(SliceSource::new(&t), &[1]);
+        assert!(late.next_for_slot(0).is_some());
+        assert_eq!(late.pids_seen(), &[1, 0]);
     }
 
     #[test]

@@ -53,6 +53,7 @@
 //! assert_eq!(report.quarantined, 0);
 //! ```
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -399,18 +400,25 @@ impl Verifier {
         if !r.op.transfers_data() && r.length != 0 {
             return Err(VerifyError::MetadataWithLength { index, op: r.op, length: r.length });
         }
-        if self.options.check_clocks {
-            if let Some(&prev) = self.last_clock.get(&r.pid) {
-                if r.wall_clock_us < prev {
+        // One probe of the clock table: the entry is held across the
+        // balance checks (they touch only `open`) and written only once
+        // the record is accepted, so a rejected record changes nothing.
+        let clock = if self.options.check_clocks {
+            let entry = self.last_clock.entry(r.pid);
+            if let Entry::Occupied(prev) = &entry {
+                if r.wall_clock_us < *prev.get() {
                     return Err(VerifyError::ClockRewind {
                         index,
                         pid: r.pid,
-                        prev_us: prev,
+                        prev_us: *prev.get(),
                         clock_us: r.wall_clock_us,
                     });
                 }
             }
-        }
+            Some(entry)
+        } else {
+            None
+        };
         if self.options.check_balance {
             let pair = (r.pid, r.file_id);
             match r.op {
@@ -436,8 +444,8 @@ impl Verifier {
                 IoOp::Read | IoOp::Write | IoOp::Seek => {}
             }
         }
-        if self.options.check_clocks {
-            self.last_clock.insert(r.pid, r.wall_clock_us);
+        if let Some(entry) = clock {
+            *entry.or_default() = r.wall_clock_us;
         }
         Ok(())
     }

@@ -218,10 +218,10 @@ fn parallel_replay_per_record_cost_is_flat_in_trace_length() {
     );
 }
 
-/// Peak heap growth of one summary-mode builder run over a synthetic
-/// workload of `data_ops` operations.
-fn summary_replay_peak(engine: &Engine, data_ops: usize) -> usize {
-    let exp = Experiment::builder()
+/// A summary-mode builder run of `engine` over a synthetic workload of
+/// `data_ops` operations.
+fn summary_experiment(engine: &Engine, data_ops: usize) -> Experiment {
+    Experiment::builder()
         .workload(Workload::Synthetic(TraceProfile {
             data_ops,
             sequentiality: 0.7,
@@ -234,7 +234,12 @@ fn summary_replay_peak(engine: &Engine, data_ops: usize) -> usize {
         .shards(8)
         .report_mode(ReportMode::Summary)
         .build()
-        .expect("valid experiment");
+        .expect("valid experiment")
+}
+
+/// Peak heap growth of one [`summary_experiment`] run.
+fn summary_replay_peak(engine: &Engine, data_ops: usize) -> usize {
+    let exp = summary_experiment(engine, data_ops);
     let mut records = 0;
     let peak = peak_heap_growth(|| {
         let report = exp.run().expect("replay runs");
@@ -245,13 +250,6 @@ fn summary_replay_peak(engine: &Engine, data_ops: usize) -> usize {
     peak
 }
 
-/// The memory gate: summary-mode replay must hold peak working memory
-/// flat while the workload grows 8×. A report (or engine buffer) that
-/// secretly scales O(N) — per-record timings, a materialized trace, an
-/// unbounded channel backlog — adds megabytes at the large size and
-/// trips the 2× + 512 KiB bound; the real constant-memory pipeline
-/// (capacity-bound cache tables, bounded merge chunks) sits far below
-/// it.
 /// The zero-allocation gate on the intrusive-list policy core: once a
 /// cache is warm — slab filled, free list populated, page map at its
 /// steady-state footprint — further accesses must never touch the heap,
@@ -301,6 +299,13 @@ fn warm_cache_accesses_allocate_nothing() {
     }
 }
 
+/// The memory gate: summary-mode replay must hold peak working memory
+/// flat while the workload grows 8×. A report (or engine buffer) that
+/// secretly scales O(N) — per-record timings, a materialized trace, an
+/// unbounded channel backlog — adds megabytes at the large size and
+/// trips the 2× + 512 KiB bound; the real constant-memory pipeline
+/// (capacity-bound cache tables, bounded merge chunks) sits far below
+/// it.
 #[test]
 fn summary_mode_replay_memory_is_flat_in_trace_length() {
     let _guard = exclusive();
@@ -334,5 +339,43 @@ fn scheduled_sim_memory_is_flat_in_trace_length() {
         large < 2 * small + 512 * 1024,
         "scheduled sim peak heap grew with trace length: \
          {small} B at 10k ops -> {large} B at 80k ops"
+    );
+}
+
+/// The zero-allocation gate on the scheduled simulator's event loop:
+/// events are plain values in a binary heap, stripes are planned in
+/// closed form and transfer slots are recycled, so once its tables have
+/// grown to working size a run allocates nothing per event. An 8×
+/// longer workload may therefore cost only a few more allocation calls
+/// (the odd extra capacity doubling), never a number that scales with
+/// the record count: one boxed event or one striping `Vec` per I/O
+/// would add tens of thousands. The whole builder run is counted —
+/// synthesis, the discovery pass, the pid splitter and the replay — so
+/// the gate covers every layer a record crosses on this path. Best of
+/// three attempts, as in the warm-cache gate.
+#[test]
+fn scheduled_sim_allocates_nothing_per_event() {
+    let _guard = exclusive();
+    let engine = Engine::ScheduledSim;
+    let calls = |data_ops: usize| {
+        let exp = summary_experiment(&engine, data_ops);
+        (0..3)
+            .map(|_| {
+                let before = ALLOC_CALLS.load(Ordering::Relaxed);
+                let report = exp.run().expect("simulation runs");
+                let calls = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+                assert!(report.records as usize > data_ops, "the whole stream was consumed");
+                calls
+            })
+            .min()
+            .expect("three attempts")
+    };
+    calls(1_000);
+    let small = calls(10_000);
+    let large = calls(80_000);
+    assert!(
+        large <= small + 64,
+        "scheduled sim allocations grew with trace length: \
+         {small} calls at 10k ops -> {large} calls at 80k ops"
     );
 }
